@@ -83,13 +83,22 @@ class MomentCertificate:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MomentCertificate":
-        return cls(
-            r=float(payload["r"]),
-            C_r=float(payload["C_r"]),
-            slack=float(payload["slack"]),
-            truncation_index=int(payload["truncation_index"]),
-            provenance=str(payload["provenance"]),
-        )
+        """Inverse of ``to_dict``; a malformed payload is a ``ModelError``."""
+        if not isinstance(payload, dict):
+            raise ModelError(f"a moment certificate must be a JSON object, got {payload!r}")
+        try:
+            fields = dict(
+                r=float(payload["r"]),
+                C_r=float(payload["C_r"]),
+                slack=float(payload["slack"]),
+                truncation_index=int(payload["truncation_index"]),
+                provenance=str(payload["provenance"]),
+            )
+        except KeyError as exc:
+            raise ModelError(f"moment certificate is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"moment certificate has a malformed value: {exc}") from None
+        return cls(**fields)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")

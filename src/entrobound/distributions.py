@@ -126,14 +126,28 @@ class GeometricRatioTail:
         return {"type": "ratio", "k0": self.k0, "q": self.q}
 
 
+# The documented spelling of each tail kind, mapped to the one ``to_dict``
+# writes; both are read.
+_TAIL_KINDS = {"power_law": "powerlaw", "geometric_ratio": "ratio"}
+
+
 def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
-    """Inverse of ``to_dict`` on either tail certificate shape."""
-    kind = payload.get("type")
+    """Inverse of ``to_dict`` on either tail certificate shape.
+
+    Reads ``{"kind": "power_law" | "geometric_ratio", ...}`` and, as an
+    alias, ``{"type": "powerlaw" | "ratio", ...}``.
+    """
+    if not isinstance(payload, dict):
+        raise ModelError(f"a tail certificate must be a JSON object, got {payload!r}")
+    kind = payload.get("kind", payload.get("type"))
+    kind = _TAIL_KINDS.get(kind, kind)
     if kind == "powerlaw":
         return PowerLawTail(k0=int(payload["k0"]), c0=float(payload["c0"]), alpha=float(payload["alpha"]))
     if kind == "ratio":
         return GeometricRatioTail(k0=int(payload["k0"]), q=float(payload["q"]))
-    raise ModelError(f"unknown tail certificate type {kind!r}")
+    raise ModelError(
+        f"unknown tail certificate kind {kind!r}; expected 'power_law' or 'geometric_ratio'"
+    )
 
 
 class PmfModel(abc.ABC):
@@ -149,6 +163,7 @@ class PmfModel(abc.ABC):
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cdf: np.ndarray | None = None
+        self._log_pmf: np.ndarray | None = None
         self._cdf_exhausted = False
 
     # -- identity ----------------------------------------------------------
@@ -217,22 +232,26 @@ class PmfModel(abc.ABC):
     def _invert(self, u: np.ndarray) -> np.ndarray:
         if u.size == 0:
             return np.zeros(0, dtype=np.int64)
-        cdf = self._ensure_cdf_covers(float(u.max()))
-        idx = np.searchsorted(cdf, u, side="right")
-        # A draw can only land past the cached mass when the remaining tail
-        # is below float resolution; fold it onto the last cached outcome.
-        np.minimum(idx, cdf.size - 1, out=idx)
+        idx, _ = self._lookup(u)
         return (idx + 1).astype(np.int64)
 
     def _sampling_guard(self) -> None:
         """Hook for subclasses that cannot serve tail draws."""
 
-    def _ensure_cdf_covers(self, target: float) -> np.ndarray:
+    def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-based outcome index of each uniform in ``u``, any shape, and
+        the cached log-pmf table those indices address."""
         self._sampling_guard()
+        target = float(u.max()) if u.size else 0.0
         with self._lock:
             while self._cdf is None or (self._cdf[-1] <= target and not self._cdf_exhausted):
                 self._extend_cdf()
-            return self._cdf
+            cdf, log_pmf = self._cdf, self._log_pmf
+        idx = np.searchsorted(cdf, u, side="right")
+        # A draw can only land past the cached mass when the remaining tail
+        # is below float resolution; fold it onto the last cached outcome.
+        np.minimum(idx, cdf.size - 1, out=idx)
+        return idx, log_pmf
 
     def _extend_cdf(self) -> None:
         have = 0 if self._cdf is None else self._cdf.size
@@ -247,14 +266,19 @@ class PmfModel(abc.ABC):
             )
         want = min(cap, max(1024, 2 * have))
         ks = np.arange(have + 1, want + 1, dtype=np.int64)
-        masses = np.exp(self.log_pmf_array(ks))
+        log_pmf = self.log_pmf_array(ks)
+        masses = np.exp(log_pmf)
         base = 0.0 if self._cdf is None else float(self._cdf[-1])
         grown = base + np.cumsum(masses)
         if grown[-1] <= base:
             # Tail mass fell below float resolution; further growth is futile.
             self._cdf_exhausted = True
             return
-        self._cdf = grown if self._cdf is None else np.concatenate([self._cdf, grown])
+        if self._cdf is None:
+            self._cdf, self._log_pmf = grown, log_pmf
+        else:
+            self._cdf = np.concatenate([self._cdf, grown])
+            self._log_pmf = np.concatenate([self._log_pmf, log_pmf])
 
     # -- pickling (drop the lock and any cache) ------------------------------
 
@@ -262,6 +286,7 @@ class PmfModel(abc.ABC):
         state = dict(self.__dict__)
         state.pop("_lock", None)
         state.pop("_cdf", None)
+        state.pop("_log_pmf", None)
         state.pop("_cdf_exhausted", None)
         return state
 
@@ -269,6 +294,7 @@ class PmfModel(abc.ABC):
         self.__dict__.update(state)
         self._lock = threading.Lock()
         self._cdf = None
+        self._log_pmf = None
         self._cdf_exhausted = False
 
 

@@ -10,6 +10,12 @@ Reproducibility contract: replicate i draws from a generator seeded by
 (seed, i) through numpy's SeedSequence spawn mechanism, so results do
 not depend on scheduling, worker count, or chunk boundaries. Identical
 (config, certificate) inputs give bit-identical reports.
+
+The replicate engine derives those streams a block of replicates at a
+time, replaying SeedSequence and PCG64 seeding in vectorised integer
+arithmetic, and scores each block with one cache lookup. Every stream
+stays identical to the one ``_replicate_rng(seed, i)`` builds, draw for
+draw, so blocking changes no report.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ import csv
 import io
 import json
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -93,6 +99,8 @@ class SimulationConfig:
         object.__setattr__(self, "eps", eps)
         if not (isinstance(self.replicates, int) and self.replicates >= 100):
             raise ValueError(f"replicates must be an integer >= 100, got {self.replicates!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         cap = min(eps) / 100.0
         tol = self.entropy_tolerance
         if tol is None:
@@ -133,12 +141,143 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
+# its PCG64 (the default 128-bit LCG multiplier). _spawn_states replays
+# both in uint32 arithmetic, one replicate per array element.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Uniforms held at once by the replicate engine; a block holds whole
+# replicates, so one longer than this is a block of its own.
+_BLOCK_DRAWS = 2**20
+
+
+def _seed_words(seed: int) -> list[int]:
+    """Little-endian 32-bit words of a seed, as SeedSequence reads an int."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix step: each call scrambles a uint32 array and
+    advances the shared multiplier, starting from ``hash_const``."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _affine128(x: list[np.ndarray], mult: int, add: list[np.ndarray]) -> list[np.ndarray]:
+    """(x * mult + add) mod 2**128 on little-endian 32-bit limbs held in
+    uint64 arrays; ``mult`` is a Python int."""
+    m = [(mult >> (32 * k)) & _MASK32 for k in range(4)]
+    cols = [a.copy() for a in add]
+    for i in range(4):
+        for j in range(4 - i):
+            product = x[i] * np.uint64(m[j])
+            cols[i + j] += product & np.uint64(_MASK32)
+            if i + j < 3:
+                cols[i + j + 1] += product >> np.uint64(32)
+    out, carry = [], np.uint64(0)
+    for col in cols:
+        col = col + carry
+        out.append(col & np.uint64(_MASK32))
+        carry = col >> np.uint64(32)
+    return out
+
+
+def _to_ints(limbs: list[np.ndarray]) -> list[int]:
+    low = (limbs[0] | (limbs[1] << np.uint64(32))).tolist()
+    high = (limbs[2] | (limbs[3] << np.uint64(32))).tolist()
+    return [(h << 64) | lo for h, lo in zip(high, low)]
+
+
+def _spawn_states(seed: int, indices: np.ndarray) -> tuple[list[int], list[int]]:
+    """PCG64 ``state`` and ``inc`` of ``_replicate_rng(seed, i)`` for each index.
+
+    Replays SeedSequence's entropy mixing over the words of ``seed`` and
+    of the spawn key ``(i,)``, its ``generate_state(4, uint64)`` and PCG64's
+    seeding step, vectorised over the indices.
+    """
+    words = _seed_words(seed)
+    # A spawn key pads the run entropy to the pool size.
+    words += [0] * (_POOL_SIZE - len(words))
+    run = [np.full(1, w, dtype=np.uint32) for w in words]
+    indices = np.asarray(indices, dtype=np.uint64)
+    low = (indices & np.uint64(_MASK32)).astype(np.uint32)
+    high = (indices >> np.uint64(32)).astype(np.uint32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def absorb(pool: list[np.ndarray], word: np.ndarray) -> list[np.ndarray]:
+        return [_mix(p, hashmix(word)) for p in pool]
+
+    pool = [hashmix(w) for w in run[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in run[_POOL_SIZE:]:
+        pool = absorb(pool, word)
+    pool = absorb(pool, low)
+    if high.any():
+        # Indices of 2**32 and beyond carry a second spawn-key word.
+        pool = [np.where(high != 0, p, q) for p, q in zip(absorb(pool, high), pool)]
+
+    output = _hasher(_INIT_B, _MULT_B)
+    w = [output(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    # generate_state(4, uint64) gives the seed and the increment as uint64
+    # pairs (high, low), each uint64 made of two little-endian uint32 words.
+    init_state = [w[2], w[3], w[0], w[1]]
+    init_seq = [w[6], w[7], w[4], w[5]]
+    one = [np.ones_like(w[0]), *[np.zeros_like(w[0])] * 3]
+    inc = _affine128(init_seq, 2, one)
+    state = _affine128(_affine128(init_state, 1, inc), _PCG64_MULT, inc)
+    return _to_ints(state), _to_ints(inc)
+
+
 def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Mean log-likelihood of replicates lo..hi-1, a block at a time.
+
+    Each row of a block is filled from one generator reloaded with that
+    replicate's ``_replicate_rng`` state, so the uniforms, and hence the
+    means, are exactly those of drawing each replicate on its own.
+    """
     out = np.empty(hi - lo, dtype=np.float64)
-    for i in range(lo, hi):
-        rng = _replicate_rng(seed, i)
-        ks = model.draw(rng, n)
-        out[i - lo] = float(np.mean(model.log_pmf_array(ks)))
+    rows = max(1, _BLOCK_DRAWS // max(n, 1))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    loaded = bit_generator.state
+    uniforms = np.empty((min(rows, hi - lo), n), dtype=np.float64)
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
+        block = uniforms[: stop - start]
+        states, incs = _spawn_states(seed, np.arange(start, stop))
+        for row, state, inc in zip(block, states, incs):
+            loaded["state"] = {"state": state, "inc": inc}
+            bit_generator.state = loaded
+            generator.random(out=row)
+        idx, log_pmf = model._lookup(block)
+        out[start - lo : stop - lo] = np.mean(log_pmf[idx], axis=1)
     return out
 
 
@@ -147,8 +286,9 @@ def replicate_log_likelihood_means(
 ) -> np.ndarray:
     """Mean log-likelihood of n draws, per replicate, assembled by index.
 
-    The result is a pure function of (model, n, replicates, seed);
-    ``workers`` only changes how the work is scheduled.
+    The result is a pure function of (model, n, replicates, seed), where
+    ``seed`` is an integer >= 0; ``workers`` only changes how the work is
+    scheduled.
     """
     if workers <= 1 or replicates < 2 * workers:
         return _means_range(model, n, seed, 0, replicates)
@@ -378,13 +518,3 @@ def report_to_dict(report: SimulationReport) -> dict:
 
 def reports_to_json(reports: list[SimulationReport]) -> str:
     return json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True) + "\n"
-
-
-def write_reports(reports: list[SimulationReport], path: str | Path, fmt: str) -> None:
-    path = Path(path)
-    if fmt == "csv":
-        path.write_text(reports_to_csv(reports))
-    elif fmt == "json":
-        path.write_text(reports_to_json(reports))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")

@@ -144,6 +144,33 @@ def test_bound_huge_radius_is_finite(capsys):
     assert "bound=0.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command,payload,fragment",
+    [
+        (["bound", "--n", "100", "--eps", "0.5"], {"r": 0.5}, "missing key 'C_r'"),
+        (["samplesize", "--eps", "0.5", "--delta", "0.05"], {"C_r": 2.0, "r": 0.5}, "missing key 'slack'"),
+        (["bound", "--n", "100", "--eps", "0.5"], [1, 2], "must be a JSON object"),
+        (
+            ["bound", "--n", "100", "--eps", "0.5"],
+            {"r": "half", "C_r": 2.0, "slack": 0.0, "truncation_index": 3, "provenance": "ratio"},
+            "malformed value",
+        ),
+        (
+            ["samplesize", "--eps", "0.5", "--delta", "0.05"],
+            {"r": 0.5, "C_r": None, "slack": 0.0, "truncation_index": 3, "provenance": "ratio"},
+            "malformed value",
+        ),
+    ],
+)
+def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, payload, fragment):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    assert main([*command, "--cert", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 def test_samplesize_forward(capsys):
     assert main(
         ["samplesize", "geometric:0.5", "--r", "0.5", "--eps", "0.5", "--delta", "0.05"]
@@ -332,6 +359,24 @@ def test_exit_code_usage(capsys):
 def test_exit_code_inadmissible(capsys):
     assert main(["certify", "zeta:2.0", "--r", "0.6"]) == EXIT_INADMISSIBLE
     assert "inadmissible r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        {"kind": "power_law", "k0": 10, "c0": 0.6, "alpha": 2.0},
+        {"kind": "geometric_ratio", "k0": 5, "q": 0.5},
+    ],
+)
+def test_certify_reads_the_documented_tail_schema(tmp_path, capsys, tail):
+    # the table format the README documents: listed masses closed off by a tail
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"probs": [0.5**k for k in range(1, 11)], "tail": tail}))
+    # ten listed masses leave a tail that only a loose slack can cover
+    assert main(["certify", f"tabulated:{table}", "--slack", "1.0"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "C_r" in captured.out
 
 
 def test_exit_code_missing_certificate(tmp_path, capsys):

@@ -221,6 +221,13 @@ def test_tail_dict_round_trip():
         assert tail_from_dict(tail.to_dict()) == tail
     with pytest.raises(ModelError):
         tail_from_dict({"type": "exponential", "rate": 1.0})
+    # the documented spelling reads the same certificates as the alias
+    assert tail_from_dict({"kind": "power_law", "k0": 3, "c0": 0.7, "alpha": 2.5}) == PowerLawTail(3, 0.7, 2.5)
+    assert tail_from_dict({"kind": "geometric_ratio", "k0": 2, "q": 0.5}) == GeometricRatioTail(2, 0.5)
+    with pytest.raises(ModelError, match="geometric_ratio"):
+        tail_from_dict({"kind": "ratio_cap", "k0": 2, "q": 0.5})
+    with pytest.raises(ModelError):
+        tail_from_dict([2, 0.5])
 
 
 def test_tail_validation():

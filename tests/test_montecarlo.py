@@ -8,11 +8,16 @@ import pytest
 
 from entrobound import (
     Geometric,
+    GeometricRatioTail,
     MissingCertificateError,
+    ModelError,
+    NegativeBinomial,
+    Poisson,
     ReportIntegrityError,
     SimulationConfig,
     SweepAborted,
     Tabulated,
+    Zeta,
     certify_moment,
     entropy_interval,
     estimate_deviation_probability,
@@ -23,6 +28,7 @@ from entrobound import (
     sweep,
     verify_bound,
 )
+from entrobound import montecarlo
 from entrobound.montecarlo import CSV_COLUMNS, report_to_dict
 
 MGF_EXACT_PLUS_QUARTER = 1.0259713891429513
@@ -54,6 +60,15 @@ def test_config_validation(geom_half):
         SimulationConfig(model=geom_half, n=10, eps=0.5, entropy_tolerance=0.01)
     tight = SimulationConfig(model=geom_half, n=10, eps=0.5, entropy_tolerance=1e-6)
     assert tight.entropy_tolerance == 1e-6
+    # the seed is checked before any certification or sampling runs
+    with pytest.raises(ValueError, match="seed"):
+        SimulationConfig(model=geom_half, n=10, eps=0.5, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        SimulationConfig(model=geom_half, n=10, eps=0.5, seed=1.5)
+    # seeds of 2**64 and beyond are several words of SeedSequence entropy
+    big = SimulationConfig(model=geom_half, n=10, eps=0.5, replicates=100, seed=2**64 + 5)
+    means = replicate_log_likelihood_means(geom_half, big.n, big.replicates, big.seed)
+    assert np.array_equal(means, _reference_means(geom_half, big.n, big.seed, 0, big.replicates))
 
 
 # -- replicate means -------------------------------------------------------------
@@ -68,18 +83,78 @@ def test_replicate_means_are_deterministic(geom_half):
 
 
 def test_parallel_equals_serial(geom_half):
-    serial = replicate_log_likelihood_means(geom_half, n=10, replicates=500, seed=99)
-    for workers in (2, 3):
-        parallel = replicate_log_likelihood_means(
-            geom_half, n=10, replicates=500, seed=99, workers=workers
-        )
-        assert np.array_equal(serial, parallel)
+    # at the second size the engine's block edges differ between serial and parallel runs
+    for n, replicates in ((10, 500), (2000, 1200)):
+        serial = replicate_log_likelihood_means(geom_half, n=n, replicates=replicates, seed=99)
+        for workers in (2, 3):
+            parallel = replicate_log_likelihood_means(
+                geom_half, n=n, replicates=replicates, seed=99, workers=workers
+            )
+            assert np.array_equal(serial, parallel)
 
 
 def test_replicate_means_have_the_right_center(geom_half):
     means = replicate_log_likelihood_means(geom_half, n=100, replicates=2000, seed=5)
     # E[log P(X)] = -2 log 2 for this model
     assert np.mean(means) == pytest.approx(-2.0 * math.log(2.0), abs=0.01)
+
+
+# -- replicate engine against the per-replicate reference --------------------------
+
+
+def _reference_means(model, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The loop the blocked engine replaced: one stream, draw and log-pmf per replicate."""
+    out = np.empty(hi - lo, dtype=np.float64)
+    for i in range(lo, hi):
+        ks = model.draw(montecarlo._replicate_rng(seed, i), n)
+        out[i - lo] = float(np.mean(model.log_pmf_array(ks)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5])
+def test_spawned_states_match_replicate_streams(seed):
+    # spawn keys of 2**32 and beyond are two words of entropy
+    indices = np.array([*range(2048), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
+    states, incs = montecarlo._spawn_states(seed, indices)
+    for index, state, inc in zip(indices.tolist(), states, incs):
+        expected = montecarlo._replicate_rng(seed, index).bit_generator.state["state"]
+        assert (state, inc) == (expected["state"], expected["inc"]), index
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Geometric(0.3),
+        Poisson(3.5),
+        NegativeBinomial(2.5, 0.4),
+        Zeta(2.2),
+        Tabulated([0.4, 0.3, 0.2, 0.1]),
+    ],
+    ids=["geometric", "poisson", "negbinomial", "zeta", "tabulated"],
+)
+def test_engine_matches_reference_loop(monkeypatch, model):
+    # 100-draw blocks: seven replicates of 13 draws per block, so 40
+    # replicates make five full blocks and a partial one; a replicate of
+    # 150 draws is a block of its own
+    monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 100)
+    for n in (13, 150):
+        for seed in (7, 2**64 + 5):
+            engine = montecarlo._means_range(model, n, seed, 3, 43)
+            assert np.array_equal(engine, _reference_means(model, n, seed, 3, 43)), (n, seed)
+
+
+def test_engine_refuses_a_table_with_unlisted_mass():
+    partial = Tabulated([0.5, 0.25, 0.125], tail=GeometricRatioTail(k0=2, q=0.5))
+    with pytest.raises(ModelError, match="cannot sample tail"):
+        replicate_log_likelihood_means(partial, n=10, replicates=100, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_engine_rejects_seeds_that_seed_sequence_rejects(geom_half, seed):
+    with pytest.raises((TypeError, ValueError)):
+        np.random.SeedSequence(seed)
+    with pytest.raises((TypeError, ValueError)):
+        replicate_log_likelihood_means(geom_half, n=5, replicates=100, seed=seed)
 
 
 # -- deviation estimation ----------------------------------------------------------
