@@ -24,13 +24,12 @@ from .certify import (
     DEFAULT_SLACK,
     EntropyInterval,
     MomentCertificate,
-    TRUNCATION_CAP,
+    _truncation_ladder,
     admissible_r_interval,
     certify_moment,
     default_r,
-    tail_power_sum_bound,
 )
-from .distributions import NORMALIZATION_TOL, PmfModel
+from .distributions import PmfModel
 from .errors import AdmissibilityError, ResourceCapError
 from .summation import indexed_chunk_sum
 
@@ -209,24 +208,10 @@ def mgf_exact(
     def term(ks: np.ndarray) -> np.ndarray:
         return np.exp(exponent * model.log_pmf_array(ks))
 
-    table_end = model.max_index()
-    complete_table = (
-        table_end is not None and getattr(model, "missing", 0.0) <= NORMALIZATION_TOL
-    )
-    tail = None if complete_table else model.tail_certificate()
-
-    if complete_table:
-        k_cut = table_end
-    else:
-        k_cut = max(64, tail.k0)
-        if table_end is not None:
-            k_cut = min(k_cut, table_end)
-    partial = indexed_chunk_sum(term, 1, k_cut)
-    while True:
-        if complete_table and k_cut >= table_end:
-            remainder = 0.0
-        else:
-            remainder = tail_power_sum_bound(model, tail, k_cut, s)
+    partial, summed = 0.0, 0
+    for k_cut, remainder in _truncation_ladder(model, None, s, 64, f"MGF tolerance {tol:g}"):
+        partial += indexed_chunk_sum(term, summed + 1, k_cut)
+        summed = k_cut
         lo = partial * factor_lo
         hi = (partial + remainder) * factor_hi
         if hi - lo <= tol:
@@ -237,19 +222,9 @@ def mgf_exact(
                 f"MGF tolerance {tol:g} is unreachable: the entropy interval alone "
                 f"contributes width {partial * (factor_hi - factor_lo):.3g}"
             )
-        if table_end is not None and k_cut >= table_end:
-            raise ResourceCapError(
-                f"MGF tolerance {tol:g} is unreachable with {table_end} listed masses"
-            )
-        grow_to = 2 * k_cut
-        if grow_to > TRUNCATION_CAP:
-            raise ResourceCapError(
-                f"MGF tolerance {tol:g} needs partial sums beyond the cap of {TRUNCATION_CAP}"
-            )
-        if table_end is not None:
-            grow_to = min(grow_to, table_end)
-        partial += indexed_chunk_sum(term, k_cut + 1, grow_to)
-        k_cut = grow_to
+    raise ResourceCapError(
+        f"MGF tolerance {tol:g} is unreachable with {model.max_index()} listed masses"
+    )
 
 
 def select_r(

@@ -14,6 +14,7 @@ geometric series anchored at the first unsummed mass.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import GeometricRatioTail, PmfModel, PowerLawTail, NORMALIZATION_TOL
+from .distributions import GeometricRatioTail, PmfModel, PowerLawTail
 from .errors import AdmissibilityError, ModelError, ResourceCapError
 from .summation import indexed_chunk_sum
 
@@ -158,24 +159,8 @@ def power_sum_partial(model: PmfModel, r: float, k_max: int) -> float:
     """
     if not (0.0 < r < 1.0):
         raise AdmissibilityError(f"moment order r must lie in (0, 1), got {r!r}")
-    if k_max < 1:
-        return 0.0
     s = 1.0 - r
     return indexed_chunk_sum(lambda ks: np.exp(s * model.log_pmf_array(ks)), 1, k_max)
-
-
-def _log_mass_upper(model: PmfModel, tail: GeometricRatioTail, k: int) -> float:
-    """log of an upper bound on p_k, exact whenever the mass is listed."""
-    n = model.max_index()
-    if n is None or k <= n:
-        return model.log_pmf(k)
-    if n < tail.k0:
-        raise ModelError(
-            f"ratio tail certificate starts at k0={tail.k0}, beyond the {n} listed "
-            "masses; no anchor exists for the unlisted tail"
-        )
-    # Beyond the table, chain the ratio cap from the last listed mass.
-    return model.log_pmf(n) + (k - n) * math.log(tail.q)
 
 
 def tail_power_sum_bound(
@@ -202,8 +187,66 @@ def tail_power_sum_bound(
                 f"with alpha={tail.alpha:g}; need alpha * exponent > 1"
             )
         return tail.c0**s * float(k_from) ** (-decay) / decay
-    head = math.exp(s * _log_mass_upper(model, tail, k_from + 1))
-    return head / (1.0 - tail.q**s)
+    n = model.max_index()
+    if n is None or k_from < n:
+        log_head = model.log_pmf(k_from + 1)
+    elif n < tail.k0:
+        raise ModelError(
+            f"ratio tail certificate starts at k0={tail.k0}, beyond the {n} listed "
+            "masses; no anchor exists for the unlisted tail"
+        )
+    else:
+        # Beyond the table, chain the ratio cap from the last listed mass.
+        log_head = model.log_pmf(n) + (k_from + 1 - n) * math.log(tail.q)
+    return math.exp(s * log_head) / (1.0 - tail.q**s)
+
+
+def _cap_error(what: str) -> ResourceCapError:
+    return ResourceCapError(f"{what} needs partial sums beyond the cap of {TRUNCATION_CAP}")
+
+
+def _truncation_ladder(
+    model: PmfModel,
+    tail: PowerLawTail | GeometricRatioTail | None,
+    s: float,
+    k_min: int,
+    what: str,
+):
+    """Yield rungs ``(k, bound on sum_{j > k} p_j**s)`` at k = max(k_min, k0)
+    times 1, 2, 4, ..., clamped (when at least k0) to the table end, where
+    the ladder stops, and to ``TRUNCATION_CAP``, past which it raises
+    ``ResourceCapError`` naming ``what``. ``tail`` defaults to the model's
+    own; a complete table needs none and is one rung at its end with
+    remainder 0.0.
+    """
+    end = model.max_index()
+    if model.is_complete():
+        yield end, 0.0
+        return
+    if tail is None:
+        tail = model.tail_certificate()
+    stop = TRUNCATION_CAP if end is None else end
+    k = max(k_min, tail.k0)
+    while k < stop:
+        yield k, tail_power_sum_bound(model, tail, k, s)
+        k *= 2
+    if tail.k0 <= stop:
+        yield stop, tail_power_sum_bound(model, tail, stop, s)
+    if end is None:
+        raise _cap_error(what)
+
+
+def _certification_tail(model: PmfModel, tail, shape: type, name: str, r: float, eps: float):
+    """``tail``, or the model's own, once it has the shape a certification
+    needs and admits order ``r``, and the slack ``eps`` is usable."""
+    if tail is None:
+        tail = model.tail_certificate()
+    if not isinstance(tail, shape):
+        raise ModelError(f"{name} certification needs a {name} tail, got {tail!r}")
+    _require_admissible(r, tail)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"slack must be positive and finite, got {eps!r}")
+    return tail
 
 
 def certify_moment_powerlaw(
@@ -218,28 +261,15 @@ def certify_moment_powerlaw(
     k1 = max(k0, ceil((eps * (alpha*(1-r) - 1) / c0) ** (-1 / (alpha*(1-r) - 1))))
     and C_r is the exact partial sum through k1 plus eps.
     """
-    if tail is None:
-        tail = model.tail_certificate()
-    if not isinstance(tail, PowerLawTail):
-        raise ModelError(f"power-law certification needs a power-law tail, got {tail!r}")
-    _require_admissible(r, tail)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"slack must be positive and finite, got {eps!r}")
+    tail = _certification_tail(model, tail, PowerLawTail, "power-law", r, eps)
     decay = tail.alpha * (1.0 - r) - 1.0
     try:
         raw = (eps * decay / tail.c0) ** (-1.0 / decay)
     except OverflowError:
         raw = math.inf
-    if not math.isfinite(raw):
-        raise ResourceCapError(
-            f"slack {eps:g} at r={r:g} needs a truncation index beyond float range"
-        )
+    if raw > TRUNCATION_CAP or tail.k0 > TRUNCATION_CAP:
+        raise _cap_error(f"slack {eps:g} at r={r:g}")
     k1 = max(tail.k0, math.ceil(raw), 1)
-    if k1 > TRUNCATION_CAP:
-        raise ResourceCapError(
-            f"slack {eps:g} at r={r:g} needs partial sums through index {float(k1):.4g}, "
-            f"beyond the cap of {TRUNCATION_CAP}"
-        )
     partial = power_sum_partial(model, r, k1)
     return MomentCertificate(
         r=r, C_r=partial + eps, slack=eps, truncation_index=k1, provenance="powerlaw"
@@ -258,31 +288,25 @@ def certify_moment_ratio(
     p_{m+1}**(1-r) / (1 - q**(1-r)) is at most eps, then returns the exact
     partial sum through m plus eps. Because the remainder bound genuinely
     dominates the discarded tail, C_r here never undershoots the series.
+    A complete table needs no remainder past its last listed mass.
     """
-    if tail is None:
-        tail = model.tail_certificate()
-    if not isinstance(tail, GeometricRatioTail):
-        raise ModelError(f"ratio certification needs a ratio tail, got {tail!r}")
-    _require_admissible(r, tail)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"slack must be positive and finite, got {eps!r}")
+    tail = _certification_tail(model, tail, GeometricRatioTail, "ratio", r, eps)
     s = 1.0 - r
-    denom = 1.0 - tail.q**s
-    limit = model.max_index() if model.max_index() is not None else TRUNCATION_CAP
-    m = tail.k0
-    while True:
-        if math.exp(s * _log_mass_upper(model, tail, m + 1)) / denom <= eps:
+    lo = tail.k0 - 1
+    for hi, remainder in _truncation_ladder(model, tail, s, 1, f"slack {eps:g} at r={r:g}"):
+        if remainder <= eps:
             break
-        m += 1
-        if m > limit:
-            if model.max_index() is not None:
-                raise ModelError(
-                    f"slack {eps:g} at r={r:g} is unreachable with only "
-                    f"{model.max_index()} listed masses"
-                )
-            raise ResourceCapError(
-                f"slack {eps:g} at r={r:g} needs partial sums beyond the cap of {TRUNCATION_CAP}"
-            )
+        lo = hi
+    else:
+        raise ModelError(
+            f"slack {eps:g} at r={r:g} is unreachable with only "
+            f"{model.max_index()} listed masses"
+        )
+    # The remainder bound does not increase past k0, so the smallest m
+    # meeting eps is found by bisection between the last two rungs.
+    m = lo + 1 + bisect.bisect_left(
+        range(lo + 1, hi), True, key=lambda k: tail_power_sum_bound(model, tail, k, s) <= eps
+    )
     partial = power_sum_partial(model, r, m)
     return MomentCertificate(
         r=r, C_r=partial + eps, slack=eps, truncation_index=m, provenance="ratio"
@@ -326,33 +350,15 @@ def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     r = certificate.r
     scale = 1.0 / (math.e * r)
-    table_end = model.max_index()
-
-    if table_end is not None and getattr(model, "missing", 0.0) <= NORMALIZATION_TOL:
-        # A complete table has no tail to bound; the sum is exact.
-        exact = indexed_chunk_sum(_entropy_term(model), 1, table_end)
-        return EntropyInterval(lower=exact, upper=exact, tolerance=tol)
-
-    tail = model.tail_certificate()
-    k_cut = max(64, tail.k0)
-    if table_end is not None:
-        k_cut = min(k_cut, table_end)
-    while True:
-        remainder = tail_power_sum_bound(model, tail, k_cut, 1.0 - r) * scale
+    rungs = _truncation_ladder(model, None, 1.0 - r, 64, f"entropy tolerance {tol:g} at r={r:g}")
+    for k_cut, remainder in rungs:
+        remainder *= scale
         if remainder <= tol:
             break
-        if table_end is not None and k_cut >= table_end:
-            raise ResourceCapError(
-                f"entropy tolerance {tol:g} is unreachable with {table_end} listed masses"
-            )
-        k_cut *= 2
-        if k_cut > TRUNCATION_CAP:
-            raise ResourceCapError(
-                f"entropy tolerance {tol:g} at r={r:g} needs partial sums beyond "
-                f"the cap of {TRUNCATION_CAP}"
-            )
-        if table_end is not None:
-            k_cut = min(k_cut, table_end)
+    else:
+        raise ResourceCapError(
+            f"entropy tolerance {tol:g} is unreachable with {model.max_index()} listed masses"
+        )
     lower = indexed_chunk_sum(_entropy_term(model), 1, k_cut)
     return EntropyInterval(lower=lower, upper=lower + remainder, tolerance=tol)
 

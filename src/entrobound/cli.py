@@ -69,6 +69,8 @@ _FAMILIES = {
 
 def parse_model_spec(spec: str) -> PmfModel:
     """Build a model from ``family:params`` or ``tabulated:<path>``."""
+    if not isinstance(spec, str):
+        raise ModelError(f"a model spec must be a string such as geometric:0.5, got {spec!r}")
     family, sep, rest = spec.partition(":")
     family = family.strip().lower()
     if family == "tabulated":
@@ -112,15 +114,23 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _resolve_certificate(args: argparse.Namespace, model: PmfModel | None) -> MomentCertificate:
-    if getattr(args, "cert", None):
-        return MomentCertificate.load(args.cert)
+def _resolve_certificate(
+    model: PmfModel | None,
+    cert: str | None,
+    r: float | None,
+    slack: float | None,
+    target_eps: float | None,
+) -> MomentCertificate:
+    """The certificate a command works from: loaded from ``cert`` when given,
+    else certified for ``model`` at order ``r`` (or the one ``select_r``
+    picks for ``target_eps``) and ``slack``, each unset value defaulting."""
+    if cert:
+        return MomentCertificate.load(cert)
     if model is None:
         raise ModelError("either a model spec or --cert is required")
-    slack = args.slack if args.slack is not None else DEFAULT_SLACK
-    r = args.r
-    if r is None and getattr(args, "target_eps", None) is not None:
-        r = select_r(model, eps=slack, target_eps=args.target_eps)
+    slack = DEFAULT_SLACK if slack is None else slack
+    if r is None and target_eps is not None:
+        r = select_r(model, eps=slack, target_eps=target_eps)
     return certify_moment(model, r=r, eps=slack)
 
 
@@ -140,11 +150,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     model = parse_model_spec(args.model)
-    slack = args.slack if args.slack is not None else DEFAULT_SLACK
-    r = args.r
-    if r is None and args.target_eps is not None:
-        r = select_r(model, eps=slack, target_eps=args.target_eps)
-    certificate = certify_moment(model, r=r, eps=slack)
+    certificate = _resolve_certificate(model, None, args.r, args.slack, args.target_eps)
     if args.out:
         certificate.save(args.out)
     if args.format == "json":
@@ -167,7 +173,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     model = parse_model_spec(args.model) if args.model else None
-    certificate = _resolve_certificate(args, model)
+    certificate = _resolve_certificate(model, args.cert, args.r, args.slack, args.target_eps)
     constants = bernstein_constants(certificate)
     eps = _parse_eps_list(args.eps)
     rows = [(e, deviation_bound(constants, args.n, e)) for e in eps]
@@ -194,7 +200,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_samplesize(args: argparse.Namespace) -> int:
     model = parse_model_spec(args.model) if args.model else None
-    certificate = _resolve_certificate(args, model)
+    certificate = _resolve_certificate(model, args.cert, args.r, args.slack, args.target_eps)
     constants = bernstein_constants(certificate)
     if (args.eps is None) == (args.n is None):
         raise ModelError("exactly one of --eps or --n is required")
@@ -273,12 +279,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
-    certificate = None
-    if args.cert:
-        certificate = MomentCertificate.load(args.cert)
-    elif args.r is not None or args.slack is not None:
-        slack = args.slack if args.slack is not None else DEFAULT_SLACK
-        certificate = certify_moment(model, r=args.r, eps=slack)
+    certificate = _resolve_certificate(model, args.cert, args.r, args.slack, None)
     report = estimate_deviation_probability(config, certificate, workers=args.workers)
     _emit_reports([report], args.format, args.out)
     return _reports_exit_code([report])
@@ -294,10 +295,6 @@ def _config_from_dict(payload: dict) -> tuple[SimulationConfig, MomentCertificat
     except KeyError as exc:
         raise ModelError(f"sweep config entry is missing key {exc}") from None
     model = parse_model_spec(spec)
-    if isinstance(eps, (int, float)):
-        eps = (float(eps),)
-    else:
-        eps = tuple(float(e) for e in eps)
     try:
         config = SimulationConfig(
             model=model,
@@ -307,15 +304,14 @@ def _config_from_dict(payload: dict) -> tuple[SimulationConfig, MomentCertificat
             seed=int(payload.get("seed", 0)),
             entropy_tolerance=payload.get("entropy_tol"),
         )
-    except ValueError as exc:
-        raise ModelError(str(exc)) from exc
+        r, slack = (None if payload.get(k) is None else float(payload[k]) for k in ("r", "slack"))
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"malformed sweep config entry {payload!r}: {exc}") from exc
+    # An entry without either key is certified inside the sweep, so a
+    # failure there still emits the reports finished before it.
     certificate = None
     if "r" in payload or "slack" in payload:
-        certificate = certify_moment(
-            model,
-            r=payload.get("r"),
-            eps=payload.get("slack", DEFAULT_SLACK),
-        )
+        certificate = _resolve_certificate(model, None, r, slack, None)
     return config, certificate
 
 

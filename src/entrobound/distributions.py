@@ -76,7 +76,10 @@ class PowerLawTail:
         if hi <= self.k0:
             return
         rng = np.random.default_rng(seed)
-        ks = rng.integers(self.k0 + 1, hi + 1, size=probes, dtype=np.int64)
+        self._check(model, rng.integers(self.k0 + 1, hi + 1, size=probes, dtype=np.int64))
+
+    def _check(self, model: "PmfModel", ks: np.ndarray) -> None:
+        """Verify the mass cap at every index in ``ks`` (each > k0)."""
         log_cap = math.log(self.c0) - self.alpha * np.log(ks.astype(np.float64))
         log_p = model.log_pmf_array(ks)
         bad = np.nonzero(log_p > log_cap + _SPOT_CHECK_SLACK)[0]
@@ -112,9 +115,13 @@ class GeometricRatioTail:
         if hi < self.k0:
             return
         rng = np.random.default_rng(seed)
-        ks = rng.integers(self.k0, hi + 1, size=probes, dtype=np.int64)
+        self._check(model, rng.integers(self.k0, hi + 1, size=probes, dtype=np.int64))
+
+    def _check(self, model: "PmfModel", ks: np.ndarray) -> None:
+        """Verify p_{k+1} / p_k <= q at every k in ``ks`` (each >= k0). The
+        slack never admits a mass above the one before it."""
         ratios = model.log_pmf_array(ks + 1) - model.log_pmf_array(ks)
-        bad = np.nonzero(ratios > math.log(self.q) + _SPOT_CHECK_SLACK)[0]
+        bad = np.nonzero(ratios > min(math.log(self.q) + _SPOT_CHECK_SLACK, 0.0))[0]
         if bad.size:
             k = int(ks[bad[0]])
             raise ModelError(
@@ -210,6 +217,10 @@ class PmfModel(abc.ABC):
         """Largest outcome with a listed mass, or None when unbounded."""
         return None
 
+    def is_complete(self) -> bool:
+        """Whether the listed masses carry all the mass, so no tail needs bounding."""
+        return False
+
     # -- sampling -----------------------------------------------------------
 
     def sample(self, seed: int, count: int) -> np.ndarray:
@@ -235,13 +246,9 @@ class PmfModel(abc.ABC):
         idx, _ = self._lookup(u)
         return (idx + 1).astype(np.int64)
 
-    def _sampling_guard(self) -> None:
-        """Hook for subclasses that cannot serve tail draws."""
-
     def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Zero-based outcome index of each uniform in ``u``, any shape, and
         the cached log-pmf table those indices address."""
-        self._sampling_guard()
         target = float(u.max()) if u.size else 0.0
         with self._lock:
             while self._cdf is None or (self._cdf[-1] <= target and not self._cdf_exhausted):
@@ -270,8 +277,9 @@ class PmfModel(abc.ABC):
         masses = np.exp(log_pmf)
         base = 0.0 if self._cdf is None else float(self._cdf[-1])
         grown = base + np.cumsum(masses)
-        if grown[-1] <= base:
+        if base > 0.0 and grown[-1] <= base:
             # Tail mass fell below float resolution; further growth is futile.
+            # Leading masses that underflow to 0 are cached like any other.
             self._cdf_exhausted = True
             return
         if self._cdf is None:
@@ -456,26 +464,33 @@ class Tabulated(PmfModel):
         self.tail = tail
         self.label = label
         self._log_masses = np.log(arr)
-        if self.missing > NORMALIZATION_TOL:
-            if tail is None:
-                raise MissingCertificateError(
-                    f"listed masses sum to {total:.17g}; a tail certificate is required "
-                    "to account for the remaining mass"
-                )
+        if tail is None and not self.is_complete():
+            raise MissingCertificateError(
+                f"listed masses sum to {total:.17g}; a tail certificate is required "
+                "to account for the remaining mass"
+            )
+        if tail is not None:
             self._check_tail_consistency()
 
     def _check_tail_consistency(self) -> None:
+        # Every listed mass the certificate covers must obey it, complete
+        # table or not; then the unlisted mass must fit under its cap.
         n = self.masses.size
-        if isinstance(self.tail, PowerLawTail):
-            start = max(self.tail.k0, n)
-            cap = self.tail.c0 * start ** (1.0 - self.tail.alpha) / (self.tail.alpha - 1.0)
+        tail = self.tail
+        if isinstance(tail, PowerLawTail):
+            tail._check(self, np.arange(tail.k0 + 1, n + 1, dtype=np.int64))
+            start = max(tail.k0, n)
+            cap = tail.c0 * start ** (1.0 - tail.alpha) / (tail.alpha - 1.0)
         else:
-            if self.tail.k0 > n:
-                raise ModelError(
-                    f"ratio tail certificate starts at k0={self.tail.k0}, beyond the "
-                    f"{n} listed masses; it cannot bound the unlisted mass"
-                )
-            cap = float(self.masses[-1]) * self.tail.q / (1.0 - self.tail.q)
+            tail._check(self, np.arange(tail.k0, n, dtype=np.int64))
+            cap = float(self.masses[-1]) * tail.q / (1.0 - tail.q)
+        if self.is_complete():
+            return
+        if isinstance(tail, GeometricRatioTail) and tail.k0 > n:
+            raise ModelError(
+                f"ratio tail certificate starts at k0={tail.k0}, beyond the "
+                f"{n} listed masses; it cannot bound the unlisted mass"
+            )
         if cap < self.missing - 1e-15:
             raise ModelError(
                 f"tail certificate caps the unlisted mass at {cap:.6g} but "
@@ -512,12 +527,16 @@ class Tabulated(PmfModel):
             )
         return self.tail
 
-    def _sampling_guard(self) -> None:
-        if self.missing > NORMALIZATION_TOL:
+    def is_complete(self) -> bool:
+        return self.missing <= NORMALIZATION_TOL
+
+    def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not self.is_complete():
             raise ModelError(
                 f"cannot sample tail: {self.missing:.6g} of the mass is unlisted and "
                 "a certificate only bounds it"
             )
+        return super()._lookup(u)
 
     @classmethod
     def from_dict(cls, payload: dict, label: str | None = None) -> "Tabulated":

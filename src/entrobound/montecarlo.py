@@ -88,10 +88,13 @@ class SimulationConfig:
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         eps = self.eps
-        if isinstance(eps, (int, float)):
-            eps = (float(eps),)
-        else:
-            eps = tuple(float(e) for e in eps)
+        try:
+            if isinstance(eps, (int, float)):
+                eps = (float(eps),)
+            else:
+                eps = tuple(float(e) for e in eps)
+        except TypeError:
+            raise ValueError(f"deviation radii must be a number or a list, got {eps!r}") from None
         if not eps:
             raise ValueError("at least one deviation radius is required")
         if any(not (e > 0 and math.isfinite(e)) for e in eps):

@@ -11,12 +11,15 @@ Closed forms used as oracles here:
 
 import math
 
+import time
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrobound.certify as certify_module
 from entrobound import (
     AdmissibilityError,
     DEFAULT_SLACK,
@@ -25,6 +28,7 @@ from entrobound import (
     GeometricRatioTail,
     MomentCertificate,
     ModelError,
+    NegativeBinomial,
     Poisson,
     PowerLawTail,
     ResourceCapError,
@@ -194,6 +198,119 @@ def test_wrong_tail_shape_is_rejected(geom_half, zeta_two):
         certify_moment_powerlaw(geom_half, 0.5, 1e-3)
     with pytest.raises(ModelError):
         certify_moment_ratio(zeta_two, 0.25, 1e-3)
+
+
+# -- the truncation search against the linear scan it replaced -----------------
+
+
+def _reference_log_mass_upper(model, tail, k):
+    n = model.max_index()
+    if n is None or k <= n:
+        return model.log_pmf(k)
+    if n < tail.k0:
+        raise ModelError("no anchor exists for the unlisted tail")
+    return model.log_pmf(n) + (k - n) * math.log(tail.q)
+
+
+def _reference_ratio_scan(model, r, eps):
+    """Ratio certification as a linear scan over m = k0, k0 + 1, ...: the
+    smallest m whose remainder bound meets eps, one index at a time."""
+    tail = model.tail_certificate()
+    s = 1.0 - r
+    denom = 1.0 - tail.q**s
+    limit = model.max_index() if model.max_index() is not None else certify_module.TRUNCATION_CAP
+    m = tail.k0
+    while True:
+        if math.exp(s * _reference_log_mass_upper(model, tail, m + 1)) / denom <= eps:
+            break
+        m += 1
+        if m > limit:
+            if model.max_index() is not None:
+                raise ModelError("slack is unreachable with the listed masses")
+            raise ResourceCapError("needs partial sums beyond the cap")
+    partial = power_sum_partial(model, r, m)
+    return MomentCertificate(
+        r=r, C_r=partial + eps, slack=eps, truncation_index=m, provenance="ratio"
+    )
+
+
+@st.composite
+def ratio_tables(draw):
+    """A table whose masses past k0 shrink by at most q, closed off by a
+    ratio tail that covers a random share of its cap (none: complete)."""
+    n = draw(st.integers(1, 40))
+    k0 = draw(st.integers(1, n))
+    q = draw(st.floats(0.05, 0.95))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k0, max_size=k0))
+    for shrink in draw(st.lists(st.floats(0.05, 1.0), min_size=n - k0, max_size=n - k0)):
+        weights.append(weights[-1] * q * shrink)
+    unlisted = draw(st.sampled_from([0.0, 1e-3, 0.5, 0.99]))
+    w = np.asarray(weights)
+    masses = w / (w.sum() + unlisted * w[-1] * q / (1.0 - q))
+    return Tabulated(masses, tail=GeometricRatioTail(k0=k0, q=q))
+
+
+ratio_models = st.one_of(
+    st.builds(Geometric, st.floats(1e-3, 0.999)),
+    st.builds(Poisson, st.floats(0.01, 60.0)),
+    st.builds(NegativeBinomial, st.floats(0.1, 20.0), st.floats(0.01, 0.95)),
+    ratio_tables(),
+)
+
+
+@given(
+    model=ratio_models,
+    r=st.floats(0.01, 0.9),
+    slack=st.one_of(st.floats(-9.0, 0.0).map(lambda e: 10.0**e), st.just(10.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_ratio_search_matches_linear_scan(model, r, slack):
+    try:
+        expected = _reference_ratio_scan(model, r, slack)
+    except (ModelError, ResourceCapError) as exc:
+        if isinstance(exc, ModelError) and model.is_complete():
+            # A complete table needs no remainder past its end; the scan
+            # still asked the ratio cap for one and gave up.
+            cert = certify_moment_ratio(model, r, slack)
+            assert cert.truncation_index == model.max_index()
+            assert cert.C_r == power_sum_partial(model, r, model.max_index()) + slack
+            return
+        with pytest.raises(type(exc)):
+            certify_moment_ratio(model, r, slack)
+        return
+    assert certify_moment_ratio(model, r, slack) == expected
+
+
+@pytest.mark.parametrize("prob", np.geomspace(2e-3, 5e-2, 24).tolist())
+def test_ratio_search_matches_linear_scan_at_the_cap(monkeypatch, prob):
+    # With the cap at 1000 the ladder 1, 2, ..., 512 ends on a rung clamped
+    # to the cap; indices between the last power of two and the cap must
+    # still be found, and those past it refused.
+    monkeypatch.setattr(certify_module, "TRUNCATION_CAP", 1000)
+    model = Geometric(prob)
+    try:
+        expected = _reference_ratio_scan(model, 0.5, 1e-6)
+    except ResourceCapError:
+        with pytest.raises(ResourceCapError, match="beyond the cap of 1000"):
+            certify_moment_ratio(model, 0.5, 1e-6)
+        return
+    assert certify_moment_ratio(model, 0.5, 1e-6) == expected
+
+
+def test_ratio_cap_trips_at_once():
+    # m would be about 5e10; a scan took hours to refuse it
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="beyond the cap"):
+        certify_moment(Geometric(1e-9))
+    assert time.perf_counter() - start < 5.0
+
+
+def test_complete_table_certifies_through_its_end():
+    masses = [0.5, 0.3, 0.2]
+    t = Tabulated(masses, tail=GeometricRatioTail(k0=1, q=0.7))
+    cert = certify_moment(t, r=0.5, eps=1e-6)
+    assert cert.truncation_index == 3
+    assert cert.C_r == pytest.approx(math.fsum(m**0.5 for m in masses) + 1e-6, rel=1e-15)
 
 
 # -- resource caps ------------------------------------------------------------

@@ -335,16 +335,37 @@ def test_sweep_abort_flushes_partial_results(tmp_path, capsys):
         ("{}", "nonempty"),
         ("{not json", "not valid JSON"),
         ('[{"n": 3}]', "missing key"),
+        ('[{"model": "geometric:0.5", "n": null, "eps": 0.5}]', "malformed sweep config entry"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": null}]', "deviation radii"),
+        ('[{"model": 5, "n": 30, "eps": 0.5}]', "model spec must be a string"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "r": "x"}]', "malformed sweep config entry"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "replicates": null}]',
+         "malformed sweep config entry"),
     ],
 )
 def test_sweep_config_validation(tmp_path, capsys, content, fragment):
     path = tmp_path / "sweep.json"
     path.write_text(content)
     assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- exit codes -------------------------------------------------------------------
+
+
+def test_simulate_a_model_whose_head_masses_underflow():
+    # Poisson(1e6) masses underflow to 0 for the first thousand outcomes
+    package_root = str(Path(entrobound.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "entrobound.cli", "simulate", "poisson:1e6",
+         "--n", "10", "--replicates", "100", "--eps", "0.5"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "eps=0.5: hits=" in result.stdout
 
 
 def test_exit_code_usage(capsys):

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +369,34 @@ def test_tabulated_rejects_inconsistent_tail():
     # a ratio certificate anchored beyond the table is unusable
     with pytest.raises(ModelError, match="beyond"):
         Tabulated([0.5, 0.25, 0.125], tail=GeometricRatioTail(k0=7, q=0.5))
+
+
+def test_tabulated_rejects_masses_that_contradict_the_tail():
+    # sums to exactly 1, so no mass is unlisted; p_4 / p_3 = 1e13 still
+    # contradicts the ratio cap, and certification trusted it
+    masses = [0.6, 0.2, 1e-14, 0.1, 0.05, 0.05 - 1e-14]
+    with pytest.raises(ModelError, match="ratio tail certificate violated at k=3"):
+        Tabulated(masses, tail=GeometricRatioTail(k0=1, q=0.5))
+    with pytest.raises(ModelError, match="power-law tail certificate violated at k=2"):
+        Tabulated([0.5, 0.3, 0.2], tail=PowerLawTail(k0=1, c0=0.5, alpha=2.0))
+    with pytest.raises(ModelError, match="violated at k=3"):
+        Tabulated([0.5, 0.2, 0.1, 0.09], tail=GeometricRatioTail(k0=2, q=0.5))
+
+
+def test_sampling_past_masses_that_underflow():
+    # Poisson(1e6) masses underflow to 0 far beyond the first cache chunk
+    code = (
+        "from entrobound import Poisson\n"
+        "print(*Poisson(1e6).sample(0, 5).tolist())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dist.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    draws = [int(k) for k in result.stdout.split()]
+    assert len(draws) == 5
+    assert all(abs(k - 1_000_001) < 10_000 for k in draws)
 
 
 def test_tabulated_accepts_consistent_tails():
