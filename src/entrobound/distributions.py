@@ -17,7 +17,6 @@ from __future__ import annotations
 import abc
 import json
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,21 +156,85 @@ def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
     )
 
 
+class _InverseCdf:
+    """One state of a model's inverse-CDF cache.
+
+    Holds the cumulative masses of outcomes 1..size, their log-pmf table,
+    whether growing further is futile, and a guide table over [0, 1)
+    built on first use. A cache that grows is a new record, so the guide
+    always describes its own CDF.
+
+    The guide (indexed search: Chen & Asau 1974; Devroye 1986, III.2.4)
+    splits [0, 1) into m = 2**b equal buckets, b the bit length of the
+    cache size held to 10..16 (at most 1 MiB). Bucket j records how many
+    CDF entries are <= j/m and, when exactly one entry lies in
+    (j/m, (j+1)/m], that entry; a uniform in the bucket then needs one
+    comparison. The rare draws in buckets holding two or more entries
+    fall back to a binary search. Because m is a power of two, u * m and
+    j / m are exact, so every index equals the binary search's.
+    """
+
+    def __init__(self, cdf: np.ndarray, log_pmf: np.ndarray) -> None:
+        self.cdf = cdf
+        self.log_pmf = log_pmf
+        self.exhausted = False
+        self._guide: tuple[np.ndarray, np.ndarray] | None = None
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(cdf, u, side="right")`` clamped to ``size - 1``,
+        for uniforms ``u`` in [0, 1) of any shape."""
+        if self._guide is None:
+            self._guide = self._build_guide()
+        lo, thresh = self._guide
+        bucket = (u * thresh.size).astype(np.intp)
+        t = thresh[bucket]
+        idx = lo[bucket]
+        idx += u >= t
+        crowded = np.isnan(t)
+        if crowded.any():
+            found = np.searchsorted(self.cdf, u[crowded], side="right")
+            idx[crowded] = np.minimum(found, self.cdf.size - 1)
+        return idx
+
+    def _build_guide(self) -> tuple[np.ndarray, np.ndarray]:
+        cdf, last = self.cdf, self.cdf.size - 1
+        m = 1 << min(16, max(10, last.bit_length()))
+        # below[j] counts the entries <= j/m. An entry c is <= j/m exactly
+        # when ceil(c * m) <= j, and for j < m only entries <= (m-1)/m count,
+        # which skips the long tail of a heavy-tailed cache.
+        head = cdf[: np.searchsorted(cdf, (m - 1) / m, side="right")]
+        below = np.append(
+            np.cumsum(np.bincount(np.ceil(head * m).astype(np.intp), minlength=m)),
+            np.searchsorted(cdf, 1.0, side="right"),
+        )
+        lo, points = below[:-1], np.diff(below)
+        # An entry equal to (j+1)/m counts as a point of bucket j, where no
+        # uniform reaches it; the comparison still gives the right index.
+        thresh = np.where(points == 1, cdf[np.minimum(lo, last)], np.inf)
+        thresh[points > 1] = np.nan  # marks the buckets that need the binary search
+        # Where every answer is at least the last index, the clamp is the answer.
+        thresh[lo >= last] = np.inf
+        return np.minimum(lo, last), thresh
+
+
 class PmfModel(abc.ABC):
     """A probability mass function on {1, 2, 3, ...}.
 
     Subclasses define the log-pmf and a tail certificate; this base class
     supplies scalar lookups, equality on parameters, and inverse-CDF
     sampling backed by a lazily extended cache of cumulative sums. The
-    cache is protected by a lock so concurrent samplers observe a
-    consistent view; it never affects sampled values, only speed.
+    cache is one record that is replaced whole when it grows, and a lookup
+    reads one record, so it never mixes two states of the cache; the
+    cache never affects sampled values, only speed. Pickling drops it.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cdf: np.ndarray | None = None
-        self._log_pmf: np.ndarray | None = None
-        self._cdf_exhausted = False
+        self._cache: _InverseCdf | None = None
+
+    @property
+    def _cdf(self) -> np.ndarray | None:
+        """Cached cumulative masses, or None before the first draw."""
+        return None if self._cache is None else self._cache.cdf
 
     # -- identity ----------------------------------------------------------
 
@@ -247,25 +310,26 @@ class PmfModel(abc.ABC):
         return (idx + 1).astype(np.int64)
 
     def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-based outcome index of each uniform in ``u``, any shape, and
-        the cached log-pmf table those indices address."""
+        """Zero-based outcome index of each uniform in ``u`` (values in
+        [0, 1), any shape), and the cached log-pmf table those indices
+        address."""
         target = float(u.max()) if u.size else 0.0
-        with self._lock:
-            while self._cdf is None or (self._cdf[-1] <= target and not self._cdf_exhausted):
-                self._extend_cdf()
-            cdf, log_pmf = self._cdf, self._log_pmf
-        idx = np.searchsorted(cdf, u, side="right")
+        cache = self._cache
+        while cache is None or (cache.cdf[-1] <= target and not cache.exhausted):
+            self._extend_cdf()
+            cache = self._cache
         # A draw can only land past the cached mass when the remaining tail
-        # is below float resolution; fold it onto the last cached outcome.
-        np.minimum(idx, cdf.size - 1, out=idx)
-        return idx, log_pmf
+        # is below float resolution; the index folds it onto the last
+        # cached outcome.
+        return cache.index(u), cache.log_pmf
 
     def _extend_cdf(self) -> None:
-        have = 0 if self._cdf is None else self._cdf.size
+        cache = self._cache
+        have = 0 if cache is None else cache.cdf.size
         cap = self.max_index() if self.max_index() is not None else _CDF_INDEX_CAP
         if have >= cap:
             if self.max_index() is not None:
-                self._cdf_exhausted = True
+                cache.exhausted = True
                 return
             raise ResourceCapError(
                 f"inverse-CDF cache would exceed {cap} entries; the requested draw "
@@ -275,35 +339,20 @@ class PmfModel(abc.ABC):
         ks = np.arange(have + 1, want + 1, dtype=np.int64)
         log_pmf = self.log_pmf_array(ks)
         masses = np.exp(log_pmf)
-        base = 0.0 if self._cdf is None else float(self._cdf[-1])
+        base = 0.0 if cache is None else float(cache.cdf[-1])
         grown = base + np.cumsum(masses)
         if base > 0.0 and grown[-1] <= base:
             # Tail mass fell below float resolution; further growth is futile.
             # Leading masses that underflow to 0 are cached like any other.
-            self._cdf_exhausted = True
+            cache.exhausted = True
             return
-        if self._cdf is None:
-            self._cdf, self._log_pmf = grown, log_pmf
-        else:
-            self._cdf = np.concatenate([self._cdf, grown])
-            self._log_pmf = np.concatenate([self._log_pmf, log_pmf])
-
-    # -- pickling (drop the lock and any cache) ------------------------------
+        if cache is not None:
+            grown = np.concatenate([cache.cdf, grown])
+            log_pmf = np.concatenate([cache.log_pmf, log_pmf])
+        self._cache = _InverseCdf(grown, log_pmf)
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        state.pop("_cdf", None)
-        state.pop("_log_pmf", None)
-        state.pop("_cdf_exhausted", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._cdf = None
-        self._log_pmf = None
-        self._cdf_exhausted = False
+        return {**self.__dict__, "_cache": None}
 
 
 class Poisson(PmfModel):
@@ -479,16 +528,17 @@ class Tabulated(PmfModel):
         tail = self.tail
         if isinstance(tail, PowerLawTail):
             tail._check(self, np.arange(tail.k0 + 1, n + 1, dtype=np.int64))
-            start = max(tail.k0, n)
-            cap = tail.c0 * start ** (1.0 - tail.alpha) / (tail.alpha - 1.0)
+            cap = tail.c0 * n ** (1.0 - tail.alpha) / (tail.alpha - 1.0)
         else:
             tail._check(self, np.arange(tail.k0, n, dtype=np.int64))
             cap = float(self.masses[-1]) * tail.q / (1.0 - tail.q)
         if self.is_complete():
             return
-        if isinstance(tail, GeometricRatioTail) and tail.k0 > n:
+        # Either shape leaves the masses n+1..k0 unbounded when k0 > n.
+        if tail.k0 > n:
+            kind = "power-law" if isinstance(tail, PowerLawTail) else "ratio"
             raise ModelError(
-                f"ratio tail certificate starts at k0={tail.k0}, beyond the "
+                f"{kind} tail certificate starts at k0={tail.k0}, beyond the "
                 f"{n} listed masses; it cannot bound the unlisted mass"
             )
         if cap < self.missing - 1e-15:

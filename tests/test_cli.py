@@ -400,6 +400,18 @@ def test_certify_reads_the_documented_tail_schema(tmp_path, capsys, tail):
     assert "C_r" in captured.out
 
 
+def test_certify_rejects_a_tail_that_starts_past_the_table(tmp_path, capsys):
+    # the masses 11..20 would be bounded by nothing; certification used to
+    # fail later with "mass unknown"
+    table = tmp_path / "t.json"
+    tail = {"kind": "power_law", "k0": 20, "c0": 0.6, "alpha": 2.0}
+    table.write_text(json.dumps({"probs": [0.5**k for k in range(1, 11)], "tail": tail}))
+    assert main(["certify", f"tabulated:{table}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "k0=20, beyond the 10 listed masses" in err
+
+
 def test_exit_code_missing_certificate(tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"probs": [0.6, 0.4]}))

@@ -315,6 +315,106 @@ def test_models_pickle_without_cache(zeta_two):
     assert np.array_equal(clone.sample(seed=5, count=50), zeta_two.sample(seed=5, count=50))
 
 
+# -- guided inverse-CDF lookup -------------------------------------------------
+
+
+def _binary_search_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The lookup the guide table replaces: a binary search, then the fold
+    of past-the-end draws onto the last cached outcome."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+def _probe_uniforms(cdf: np.ndarray, covered: float, seed: int) -> np.ndarray:
+    """Uniforms in [0, covered): the CDF points, the bucket edges j / 2**b
+    (b = 10..16, every guide size) around each point, both float neighbours
+    of all of these, 0.0, the largest uniform below ``covered`` and a
+    random batch."""
+    points = np.unique(cdf)
+    if points.size > 3000:
+        points = points[np.random.default_rng(seed).choice(points.size, 3000, replace=False)]
+    edges = [np.floor(points * 2.0**b) / 2.0**b + d / 2.0**b for b in range(10, 17) for d in (0, 1)]
+    u = np.concatenate([points, *edges, np.random.default_rng(seed).random(2000) * covered])
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0), [0.0, np.nextafter(covered, 0.0)]])
+    return u[(u >= 0.0) & (u < covered)]
+
+
+_MASSES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([2.0**-e for e in (1, 3, 10, 11, 16, 17, 40)]),
+    st.floats(1e-300, 1.0),
+)
+
+
+@st.composite
+def _sorted_cdfs(draw):
+    """Cumulative sums of runs of equal masses, zero runs included (such as
+    the head of Poisson(1e6), whose first ~960k masses underflow), up to
+    ~10**5 entries so every guide size from 2**10 to 2**16 buckets occurs."""
+    runs = draw(st.lists(st.tuples(_MASSES, st.integers(1, 4000)), min_size=1, max_size=25))
+    cdf = np.cumsum(np.repeat([m for m, _ in runs], [n for _, n in runs]))
+    end = draw(st.sampled_from(["raw", "dyadic", "below one", "just above one"]))
+    if cdf[-1] > 0.0 and end == "dyadic":
+        # scaling by a power of two keeps dyadic sums on the bucket edges
+        cdf = cdf * 2.0 ** -math.ceil(math.log2(cdf[-1]))
+    elif cdf[-1] > 0.0 and end != "raw":
+        target = 1.0 - 1e-13 if end == "below one" else 1.0 + 2.0**-52
+        cdf = cdf / cdf[-1] * target
+    return cdf
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_cdfs(), st.integers(0, 2**32 - 1))
+def test_guided_index_equals_binary_search(cdf, seed):
+    cache = dist._InverseCdf(cdf, np.zeros(cdf.size))
+    u = _probe_uniforms(cdf, 1.0, seed)
+    assert np.array_equal(cache.index(u), _binary_search_index(cdf, u))
+    # any shape, as the replicate engine passes a block of rows
+    block = u[:1000].reshape(100, 10)
+    assert np.array_equal(cache.index(block), _binary_search_index(cdf, block))
+
+
+def _covered(model) -> float:
+    """Uniforms below this bound are served without growing the cache."""
+    cache = model._cache
+    return 1.0 if cache.exhausted else min(float(cache.cdf[-1]), 1.0)
+
+
+def _assert_guided(model, u):
+    idx, log_pmf = model._lookup(u)
+    assert np.array_equal(idx, _binary_search_index(model._cdf, u))
+    assert log_pmf is model._cache.log_pmf
+
+
+_GUIDED_MODELS = {
+    "geometric": lambda: Geometric(1e-3),
+    "poisson-1e6": lambda: Poisson(1e6),
+    "zeta": lambda: Zeta(2.0),
+    "negbinomial": lambda: NegativeBinomial(2.5, 0.4),
+    # complete within the normalisation tolerance, so its CDF ends below 1
+    "table-below-one": lambda: Tabulated([0.5, 0.25, 0.125, 0.125 - 5e-13]),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(_GUIDED_MODELS)), st.integers(0, 2**32 - 1))
+def test_guided_lookup_equals_binary_search_on_models(name, seed):
+    model = _GUIDED_MODELS[name]()
+    model._lookup(np.array([0.5]))
+    _assert_guided(model, _probe_uniforms(model._cdf, _covered(model), seed))
+    # a draw past the cached mass grows the cache, which gets a new guide
+    first, covered = model._cache, _covered(model)
+    if covered < 1.0:
+        _assert_guided(model, np.array([min((covered + 1.0) / 2.0, np.nextafter(1.0, 0.0))]))
+        assert model._cache is not first or model._cache.exhausted
+        _assert_guided(model, _probe_uniforms(model._cdf, _covered(model), seed))
+    # a pickled model drops its cache and rebuilds the same one
+    u = _probe_uniforms(model._cdf, _covered(model), seed)
+    clone = pickle.loads(pickle.dumps(model))
+    assert clone._cdf is None
+    _assert_guided(clone, u)
+    assert np.array_equal(clone._lookup(u)[0], model._lookup(u)[0])
+
+
 # -- tabulated models --------------------------------------------------------
 
 
@@ -366,9 +466,12 @@ def test_tabulated_rejects_inconsistent_tail():
         Tabulated([0.5, 0.25, 0.125], tail=GeometricRatioTail(k0=3, q=0.01))
     with pytest.raises(ModelError, match="inconsistent"):
         Tabulated([0.5, 0.25, 0.125], tail=PowerLawTail(k0=3, c0=1e-6, alpha=3.0))
-    # a ratio certificate anchored beyond the table is unusable
+    # a certificate anchored beyond the table is unusable, though a
+    # power-law cap from k0 = 20 would cover the missing 2**-10
     with pytest.raises(ModelError, match="beyond"):
         Tabulated([0.5, 0.25, 0.125], tail=GeometricRatioTail(k0=7, q=0.5))
+    with pytest.raises(ModelError, match="k0=20, beyond the 10 listed masses"):
+        Tabulated([0.5**k for k in range(1, 11)], tail=PowerLawTail(k0=20, c0=0.6, alpha=2.0))
 
 
 def test_tabulated_rejects_masses_that_contradict_the_tail():
