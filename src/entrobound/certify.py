@@ -9,7 +9,9 @@ by later bound computations.
 Tail handling differs by certificate shape. For a power-law mass cap the
 truncation index comes from a closed form driven by the integral bound
 on the remainder; for a ratio cap the remainder is dominated by a
-geometric series anchored at the first unsummed mass.
+geometric series anchored at the first unsummed mass. A complete table
+needs no remainder past its end, so it is certified with or without a
+tail certificate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import GeometricRatioTail, PmfModel, PowerLawTail
-from .errors import AdmissibilityError, ModelError, ResourceCapError
+from .errors import AdmissibilityError, MissingCertificateError, ModelError, ResourceCapError
 from .summation import indexed_chunk_sum
 
 __all__ = [
@@ -48,7 +50,7 @@ DEFAULT_SLACK = 1e-6
 # terms surface as clean errors instead of multi-hour loops.
 TRUNCATION_CAP = 10**9
 
-_PROVENANCES = ("powerlaw", "ratio")
+_PROVENANCES = ("powerlaw", "ratio", "exact")
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,10 @@ def admissible_r_interval(tail: PowerLawTail | GeometricRatioTail) -> tuple[floa
     raise TypeError(f"not a tail certificate: {tail!r}")
 
 
-def default_r(tail: PowerLawTail | GeometricRatioTail) -> float:
+def default_r(tail: PowerLawTail | GeometricRatioTail | None) -> float:
     """Default moment order: midpoint of the admissible interval for
-    power-law tails, one half for ratio tails."""
+    power-law tails, one half for ratio tails and for a complete table
+    without a tail."""
     if isinstance(tail, PowerLawTail):
         return (tail.alpha - 1.0) / (2.0 * tail.alpha)
     return 0.5
@@ -244,9 +247,13 @@ def _certification_tail(model: PmfModel, tail, shape: type, name: str, r: float,
     if not isinstance(tail, shape):
         raise ModelError(f"{name} certification needs a {name} tail, got {tail!r}")
     _require_admissible(r, tail)
+    _require_slack(eps)
+    return tail
+
+
+def _require_slack(eps: float) -> None:
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"slack must be positive and finite, got {eps!r}")
-    return tail
 
 
 def certify_moment_powerlaw(
@@ -259,9 +266,13 @@ def certify_moment_powerlaw(
 
     The truncation index is the closed form
     k1 = max(k0, ceil((eps * (alpha*(1-r) - 1) / c0) ** (-1 / (alpha*(1-r) - 1))))
-    and C_r is the exact partial sum through k1 plus eps.
+    and C_r is the exact partial sum through k1 plus eps. A complete table
+    is certified as ``certify_moment_ratio`` certifies one, with the
+    power-law remainder bound, so it never sums past its end.
     """
     tail = _certification_tail(model, tail, PowerLawTail, "power-law", r, eps)
+    if model.is_complete():
+        return _certify_on_ladder(model, tail, r, eps, "powerlaw")
     decay = tail.alpha * (1.0 - r) - 1.0
     try:
         raw = (eps * decay / tail.c0) ** (-1.0 / decay)
@@ -291,8 +302,22 @@ def certify_moment_ratio(
     A complete table needs no remainder past its last listed mass.
     """
     tail = _certification_tail(model, tail, GeometricRatioTail, "ratio", r, eps)
+    return _certify_on_ladder(model, tail, r, eps, "ratio")
+
+
+def _certify_on_ladder(
+    model: PmfModel,
+    tail: PowerLawTail | GeometricRatioTail | None,
+    r: float,
+    eps: float,
+    provenance: str,
+) -> MomentCertificate:
+    """C_r summed through the smallest m >= max(k0, 1) whose remainder
+    bound under ``tail`` is at most eps, plus eps. A complete table is one
+    rung at its end with remainder 0.0, so m never passes the end, and
+    without a tail m is the end."""
     s = 1.0 - r
-    lo = tail.k0 - 1
+    lo = 0 if tail is None else max(tail.k0, 1) - 1
     for hi, remainder in _truncation_ladder(model, tail, s, 1, f"slack {eps:g} at r={r:g}"):
         if remainder <= eps:
             break
@@ -302,14 +327,19 @@ def certify_moment_ratio(
             f"slack {eps:g} at r={r:g} is unreachable with only "
             f"{model.max_index()} listed masses"
         )
-    # The remainder bound does not increase past k0, so the smallest m
-    # meeting eps is found by bisection between the last two rungs.
-    m = lo + 1 + bisect.bisect_left(
-        range(lo + 1, hi), True, key=lambda k: tail_power_sum_bound(model, tail, k, s) <= eps
-    )
+    if tail is None or lo >= hi:
+        # Without a tail, or with k0 past a complete table's end, the end
+        # is the only cut.
+        m = hi
+    else:
+        # The remainder bound does not increase past k0, so the smallest m
+        # meeting eps is found by bisection between the last two rungs.
+        m = lo + 1 + bisect.bisect_left(
+            range(lo + 1, hi), True, key=lambda k: tail_power_sum_bound(model, tail, k, s) <= eps
+        )
     partial = power_sum_partial(model, r, m)
     return MomentCertificate(
-        r=r, C_r=partial + eps, slack=eps, truncation_index=m, provenance="ratio"
+        r=r, C_r=partial + eps, slack=eps, truncation_index=m, provenance=provenance
     )
 
 
@@ -320,11 +350,21 @@ def certify_moment(
 ) -> MomentCertificate:
     """Certify C_r, dispatching on the model's own tail certificate.
 
-    When ``r`` is omitted the default order rule applies.
+    When ``r`` is omitted the default order rule applies. A complete
+    table built without a tail certificate is summed exactly through its
+    end, with provenance ``"exact"``.
     """
-    tail = model.tail_certificate()
+    try:
+        tail = model.tail_certificate()
+    except MissingCertificateError:
+        if not model.is_complete():
+            raise
+        tail = None
     if r is None:
         r = default_r(tail)
+    if tail is None:
+        _require_slack(eps)
+        return _certify_on_ladder(model, None, r, eps, "exact")
     if isinstance(tail, PowerLawTail):
         return certify_moment_powerlaw(model, r, eps, tail=tail)
     return certify_moment_ratio(model, r, eps, tail=tail)

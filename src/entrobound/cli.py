@@ -13,6 +13,7 @@ order, 4 missing tail certificate, 5 truncation budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -364,7 +365,10 @@ def _add_cert_options(sub: argparse.ArgumentParser, with_target: bool = True) ->
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing reads it
+    and never changes it, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="entrobound",
         description="Certified moment bounds and deviation inequalities for "

@@ -159,10 +159,12 @@ def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
 class _InverseCdf:
     """One state of a model's inverse-CDF cache.
 
-    Holds the cumulative masses of outcomes 1..size, their log-pmf table,
-    whether growing further is futile, and a guide table over [0, 1)
-    built on first use. A cache that grows is a new record, so the guide
-    always describes its own CDF.
+    Holds the cumulative masses of outcomes offset+1..offset+size, their
+    log-pmf table, whether growing further is futile, and a guide table
+    over [0, 1) built on first use. The ``offset`` outcomes before them
+    have cumulative mass exactly 0.0 and are not stored: a binary search
+    for any u >= 0 passes over them, so no draw selects one. A cache that
+    grows is a new record, so the guide always describes its own CDF.
 
     The guide (indexed search: Chen & Asau 1974; Devroye 1986, III.2.4)
     splits [0, 1) into m = 2**b equal buckets, b the bit length of the
@@ -174,15 +176,27 @@ class _InverseCdf:
     j / m are exact, so every index equals the binary search's.
     """
 
-    def __init__(self, cdf: np.ndarray, log_pmf: np.ndarray) -> None:
+    def __init__(self, cdf: np.ndarray, log_pmf: np.ndarray, offset: int = 0) -> None:
+        # Leading entries of exactly 0.0 move into the offset; the copy
+        # frees the array that held them.
+        head = int(np.searchsorted(cdf, 0.0, side="right"))
+        if head:
+            cdf, log_pmf = cdf[head:].copy(), log_pmf[head:].copy()
         self.cdf = cdf
         self.log_pmf = log_pmf
+        self.offset = offset + head
         self.exhausted = False
         self._guide: tuple[np.ndarray, np.ndarray] | None = None
 
+    @property
+    def top(self) -> float:
+        """Cumulative mass of the last stored outcome, 0.0 if none is stored."""
+        return float(self.cdf[-1]) if self.cdf.size else 0.0
+
     def index(self, u: np.ndarray) -> np.ndarray:
         """``np.searchsorted(cdf, u, side="right")`` clamped to ``size - 1``,
-        for uniforms ``u`` in [0, 1) of any shape."""
+        for uniforms ``u`` in [0, 1) of any shape. This is a position in
+        the stored tables; the outcome drawn is ``offset + 1`` plus it."""
         if self._guide is None:
             self._guide = self._build_guide()
         lo, thresh = self._guide
@@ -233,7 +247,9 @@ class PmfModel(abc.ABC):
 
     @property
     def _cdf(self) -> np.ndarray | None:
-        """Cached cumulative masses, or None before the first draw."""
+        """Stored cumulative masses, or None before the first draw. They
+        start at outcome ``_cache.offset + 1``, the first whose cumulative
+        mass is not exactly 0.0."""
         return None if self._cache is None else self._cache.cdf
 
     # -- identity ----------------------------------------------------------
@@ -307,15 +323,15 @@ class PmfModel(abc.ABC):
         if u.size == 0:
             return np.zeros(0, dtype=np.int64)
         idx, _ = self._lookup(u)
-        return (idx + 1).astype(np.int64)
+        return (idx + self._cache.offset + 1).astype(np.int64)
 
     def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-based outcome index of each uniform in ``u`` (values in
-        [0, 1), any shape), and the cached log-pmf table those indices
-        address."""
+        """Position in the cache's stored tables of each uniform in ``u``
+        (values in [0, 1), any shape), and the stored log-pmf table those
+        positions address. Position i is outcome ``_cache.offset + 1 + i``."""
         target = float(u.max()) if u.size else 0.0
         cache = self._cache
-        while cache is None or (cache.cdf[-1] <= target and not cache.exhausted):
+        while cache is None or (cache.top <= target and not cache.exhausted):
             self._extend_cdf()
             cache = self._cache
         # A draw can only land past the cached mass when the remaining tail
@@ -325,7 +341,7 @@ class PmfModel(abc.ABC):
 
     def _extend_cdf(self) -> None:
         cache = self._cache
-        have = 0 if cache is None else cache.cdf.size
+        have = 0 if cache is None else cache.offset + cache.cdf.size
         cap = self.max_index() if self.max_index() is not None else _CDF_INDEX_CAP
         if have >= cap:
             if self.max_index() is not None:
@@ -339,17 +355,16 @@ class PmfModel(abc.ABC):
         ks = np.arange(have + 1, want + 1, dtype=np.int64)
         log_pmf = self.log_pmf_array(ks)
         masses = np.exp(log_pmf)
-        base = 0.0 if cache is None else float(cache.cdf[-1])
+        base = 0.0 if cache is None else cache.top
         grown = base + np.cumsum(masses)
         if base > 0.0 and grown[-1] <= base:
             # Tail mass fell below float resolution; further growth is futile.
-            # Leading masses that underflow to 0 are cached like any other.
             cache.exhausted = True
             return
         if cache is not None:
             grown = np.concatenate([cache.cdf, grown])
             log_pmf = np.concatenate([cache.log_pmf, log_pmf])
-        self._cache = _InverseCdf(grown, log_pmf)
+        self._cache = _InverseCdf(grown, log_pmf, 0 if cache is None else cache.offset)
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_cache": None}

@@ -11,11 +11,13 @@ Reproducibility contract: replicate i draws from a generator seeded by
 not depend on scheduling, worker count, or chunk boundaries. Identical
 (config, certificate) inputs give bit-identical reports.
 
-The replicate engine derives those streams a block of replicates at a
-time, replaying SeedSequence and PCG64 seeding in vectorised integer
-arithmetic, and scores each block with one cache lookup. Every stream
-stays identical to the one ``_replicate_rng(seed, i)`` builds, draw for
-draw, so blocking changes no report.
+The replicate engine derives those streams a seeding block of replicates
+at a time, replaying SeedSequence and PCG64 seeding in vectorised integer
+arithmetic. It then fills and scores each block in cache-sized tiles,
+with one cache lookup per tile. Every stream stays identical to the one
+``_replicate_rng(seed, i)`` builds, draw for draw, and each replicate's
+mean is taken over its own row, so neither blocks nor tiles change any
+report.
 """
 
 from __future__ import annotations
@@ -154,9 +156,14 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Uniforms held at once by the replicate engine; a block holds whole
-# replicates, so one longer than this is a block of its own.
+# The replicate engine derives generator states for a seeding block of
+# about _BLOCK_DRAWS draws at once, which spreads the fixed cost of each
+# vectorised seeding step, and fills and scores each block a tile of about
+# _TILE_DRAWS draws at a time, so the uniforms and the lookup's temporaries
+# (256 KiB each) stay in a core's L2 cache. Blocks and tiles hold whole
+# replicates: a replicate longer than either is one of its own.
 _BLOCK_DRAWS = 2**20
+_TILE_DRAWS = 2**15
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -259,28 +266,35 @@ def _spawn_states(seed: int, indices: np.ndarray) -> tuple[list[int], list[int]]
 
 
 def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Mean log-likelihood of replicates lo..hi-1, a block at a time.
+    """Mean log-likelihood of replicates lo..hi-1.
 
-    Each row of a block is filled from one generator reloaded with that
-    replicate's ``_replicate_rng`` state, so the uniforms, and hence the
-    means, are exactly those of drawing each replicate on its own.
+    Generator states are derived a seeding block at a time, and each
+    block is filled, looked up and averaged a scoring tile at a time, so
+    the uniforms and the lookup's temporaries stay cache-sized. Each row
+    of a tile is filled from one generator reloaded with that replicate's
+    ``_replicate_rng`` state, so the uniforms, and hence the means, are
+    exactly those of drawing each replicate on its own.
     """
     out = np.empty(hi - lo, dtype=np.float64)
     rows = max(1, _BLOCK_DRAWS // max(n, 1))
+    tile = max(1, _TILE_DRAWS // max(n, 1))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     loaded = bit_generator.state
-    uniforms = np.empty((min(rows, hi - lo), n), dtype=np.float64)
+    uniforms = np.empty((min(tile, hi - lo), n), dtype=np.float64)
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
-        block = uniforms[: stop - start]
-        states, incs = _spawn_states(seed, np.arange(start, stop))
-        for row, state, inc in zip(block, states, incs):
-            loaded["state"] = {"state": state, "inc": inc}
-            bit_generator.state = loaded
-            generator.random(out=row)
-        idx, log_pmf = model._lookup(block)
-        out[start - lo : stop - lo] = np.mean(log_pmf[idx], axis=1)
+        states = zip(*_spawn_states(seed, np.arange(start, stop)))
+        for first in range(start, stop, tile):
+            block = uniforms[: min(tile, stop - first)]
+            # zip takes a row before a state, so the block's states carry on
+            # from one tile to the next
+            for row, (state, inc) in zip(block, states):
+                loaded["state"] = {"state": state, "inc": inc}
+                bit_generator.state = loaded
+                generator.random(out=row)
+            idx, log_pmf = model._lookup(block)
+            out[first - lo : first - lo + len(block)] = np.mean(log_pmf[idx], axis=1)
     return out
 
 

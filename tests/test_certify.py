@@ -313,6 +313,31 @@ def test_complete_table_certifies_through_its_end():
     assert cert.C_r == pytest.approx(math.fsum(m**0.5 for m in masses) + 1e-6, rel=1e-15)
 
 
+_HALVES = [0.5**k for k in range(1, 60)] + [0.5**59]
+
+
+@pytest.mark.parametrize(
+    "masses,tail,eps,cut,provenance",
+    [
+        ([0.5, 0.25, 0.125, 0.125], PowerLawTail(k0=1, c0=2.0, alpha=2.0), 1e-3, 4, "powerlaw"),
+        ([0.5, 0.25, 0.125, 0.125], None, 1e-3, 4, "exact"),
+        # k0 past the end: the ratio cap covers no listed mass
+        ([0.5, 0.25, 0.125, 0.125], GeometricRatioTail(k0=20, q=0.5), 1e-3, 4, "ratio"),
+        # the power-law remainder 2**0.75 * k**-0.5 / 0.5 meets 0.5 at k = 46
+        (_HALVES, PowerLawTail(k0=1, c0=2.0, alpha=2.0), 0.5, 46, "powerlaw"),
+    ],
+    ids=["powerlaw", "no-tail", "ratio-k0-past-end", "powerlaw-cut-before-end"],
+)
+def test_complete_table_certifies_with_any_tail(masses, tail, eps, cut, provenance):
+    # the closed-form k1 summed past the end ("mass unknown"), and a table
+    # without a tail had no certificate to certify from
+    cert = certify_moment(Tabulated(masses, tail=tail), eps=eps)
+    assert (cert.truncation_index, cert.provenance, cert.slack) == (cut, provenance, eps)
+    assert cert.r == (0.25 if isinstance(tail, PowerLawTail) else 0.5)
+    exact = math.fsum(m ** (1.0 - cert.r) for m in masses[:cut])
+    assert cert.C_r == pytest.approx(exact + eps, rel=1e-15)
+
+
 # -- resource caps ------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import entrobound
 from entrobound import (
+    DEFAULT_SLACK,
     Geometric,
     MomentCertificate,
     NegativeBinomial,
@@ -20,6 +21,7 @@ from entrobound import (
     certify_moment,
     min_sample_size,
 )
+from entrobound import cli
 from entrobound.cli import (
     EXIT_INADMISSIBLE,
     EXIT_NO_CERTIFICATE,
@@ -312,17 +314,16 @@ def test_sweep_accepts_wrapped_config(tmp_path, capsys):
 
 
 def test_sweep_abort_flushes_partial_results(tmp_path, capsys):
-    table = tmp_path / "table.json"
-    table.write_text(json.dumps({"probs": [0.6, 0.4]}))  # complete, no tail
     config = [
         {"model": "geometric:0.5", "n": 30, "eps": 0.8, "replicates": 300, "seed": 1},
-        {"model": f"tabulated:{table}", "n": 30, "eps": 0.8, "replicates": 300, "seed": 2},
+        # certified inside the sweep, past the truncation cap
+        {"model": "zeta:1.05", "n": 30, "eps": 0.8, "replicates": 300, "seed": 2},
     ]
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
     code = main(["sweep", "--config", str(path)])
     captured = capsys.readouterr()
-    assert code == EXIT_NO_CERTIFICATE
+    assert code == EXIT_RESOURCE
     assert "sweep aborted on config 1" in captured.err
     # the finished geometric rows were still written
     assert "geometric:0.5" in captured.out
@@ -414,9 +415,18 @@ def test_certify_rejects_a_tail_that_starts_past_the_table(tmp_path, capsys):
 
 def test_exit_code_missing_certificate(tmp_path, capsys):
     table = tmp_path / "table.json"
-    table.write_text(json.dumps({"probs": [0.6, 0.4]}))
+    table.write_text(json.dumps({"probs": [0.6, 0.3]}))  # 0.1 unlisted, no tail
     assert main(["certify", f"tabulated:{table}"]) == EXIT_NO_CERTIFICATE
-    assert "no certificate available" in capsys.readouterr().err
+    assert "a tail certificate is required" in capsys.readouterr().err
+
+
+def test_certify_a_complete_table_without_a_tail(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"probs": [0.6, 0.4]}))
+    assert main(["certify", f"tabulated:{table}"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "truncation index: 2" in out
+    assert "provenance: exact" in out
 
 
 def test_exit_code_resource_cap(capsys):
@@ -427,6 +437,25 @@ def test_exit_code_resource_cap(capsys):
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
     assert main(["simulate", "--help"]) == EXIT_OK
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = ["certify", "geometric:0.5", "--r", "0.3", "--slack", "0.01", "--format", "json"]
+    assert main(first) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["r"] == 0.3
+    assert main(["--help"]) == EXIT_OK
+    assert main(["certify", "--help"]) == EXIT_OK
+    assert main(["certify"]) == EXIT_USAGE
+    assert main(["bound", "geometric:0.5", "--eps", "0.5"]) == EXIT_USAGE
+    capsys.readouterr()
+    # neither the first call's --r, --slack nor its format carries over
+    bound = ["bound", "geometric:0.5", "--n", "10", "--eps", "0.5", "--format", "json"]
+    assert main(bound) == EXIT_OK
+    certificate = json.loads(capsys.readouterr().out)["certificate"]
+    assert (certificate["r"], certificate["slack"]) == (0.5, DEFAULT_SLACK)
+    assert main(["certify", "geometric:0.5"]) == EXIT_OK
+    assert "r: 0.5 (default)" in capsys.readouterr().out
 
 
 def _declared_console_script(name):

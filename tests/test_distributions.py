@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entrobound.distributions as dist
@@ -365,12 +365,18 @@ def _sorted_cdfs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_sorted_cdfs(), st.integers(0, 2**32 - 1))
 def test_guided_index_equals_binary_search(cdf, seed):
-    cache = dist._InverseCdf(cdf, np.zeros(cdf.size))
+    cache = dist._InverseCdf(cdf, np.arange(cdf.size, dtype=np.float64))
+    # the leading exact zeros are not stored, and the offset counts them
+    assert cache.offset == np.count_nonzero(cdf == 0.0)
+    assert np.array_equal(cache.cdf, cdf[cache.offset :])
+    assert np.array_equal(cache.log_pmf, np.arange(cache.offset, cdf.size))
+    if not cache.cdf.size:
+        return  # an all-zero CDF covers no uniform, so it is never looked up
     u = _probe_uniforms(cdf, 1.0, seed)
-    assert np.array_equal(cache.index(u), _binary_search_index(cdf, u))
+    assert np.array_equal(cache.offset + cache.index(u), _binary_search_index(cdf, u))
     # any shape, as the replicate engine passes a block of rows
     block = u[:1000].reshape(100, 10)
-    assert np.array_equal(cache.index(block), _binary_search_index(cdf, block))
+    assert np.array_equal(cache.offset + cache.index(block), _binary_search_index(cdf, block))
 
 
 def _covered(model) -> float:
@@ -380,9 +386,15 @@ def _covered(model) -> float:
 
 
 def _assert_guided(model, u):
+    """The lookup against a binary search of the whole CDF, whose unstored
+    head holds exact zeros."""
     idx, log_pmf = model._lookup(u)
-    assert np.array_equal(idx, _binary_search_index(model._cdf, u))
-    assert log_pmf is model._cache.log_pmf
+    cache = model._cache
+    assert cache.cdf[0] > 0.0
+    whole = np.concatenate([np.zeros(cache.offset), cache.cdf])
+    assert np.array_equal(cache.offset + idx, _binary_search_index(whole, u))
+    assert log_pmf is cache.log_pmf
+    assert np.array_equal(model._invert(u), _binary_search_index(whole, u) + 1)
 
 
 _GUIDED_MODELS = {
@@ -397,9 +409,14 @@ _GUIDED_MODELS = {
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(sorted(_GUIDED_MODELS)), st.integers(0, 2**32 - 1))
+@example("poisson-1e6", 0)  # its first 961,846 cumulative masses are 0.0
 def test_guided_lookup_equals_binary_search_on_models(name, seed):
     model = _GUIDED_MODELS[name]()
     model._lookup(np.array([0.5]))
+    if model._cache.offset:
+        # only outcomes whose cumulative mass is exactly 0.0 are left out
+        head = np.exp(model.log_pmf_array(np.arange(1, model._cache.offset + 1)))
+        assert not head.any()
     _assert_guided(model, _probe_uniforms(model._cdf, _covered(model), seed))
     # a draw past the cached mass grows the cache, which gets a new guide
     first, covered = model._cache, _covered(model)

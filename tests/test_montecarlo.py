@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from entrobound import (
     Geometric,
     GeometricRatioTail,
-    MissingCertificateError,
     ModelError,
     NegativeBinomial,
     Poisson,
     ReportIntegrityError,
+    ResourceCapError,
     SimulationConfig,
     SweepAborted,
     Tabulated,
@@ -113,8 +114,8 @@ def _reference_means(model, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     for i in range(lo, hi):
         u = montecarlo._replicate_rng(seed, i).random(n)
         model._lookup(u)
-        cdf = model._cdf
-        ks = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1) + 1
+        cdf, first = model._cdf, model._cache.offset + 1  # the stored CDF starts at outcome first
+        ks = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1) + first
         out[i - lo] = float(np.mean(model.log_pmf_array(ks)))
     return out
 
@@ -143,12 +144,31 @@ def test_spawned_states_match_replicate_streams(seed):
 def test_engine_matches_reference_loop(monkeypatch, model):
     # 100-draw blocks: seven replicates of 13 draws per block, so 40
     # replicates make five full blocks and a partial one; a replicate of
-    # 150 draws is a block of its own
+    # 150 draws is a block of its own. 30-draw tiles hold two replicates
+    # of 13 draws, so full and partial blocks both end on a partial tile;
+    # a 200-draw tile is larger than its block; a replicate of 150 draws
+    # is a tile of its own
     monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 100)
-    for n in (13, 150):
-        for seed in (7, 2**64 + 5):
-            engine = montecarlo._means_range(model, n, seed, 3, 43)
-            assert np.array_equal(engine, _reference_means(model, n, seed, 3, 43)), (n, seed)
+    for tile in (30, 200):
+        monkeypatch.setattr(montecarlo, "_TILE_DRAWS", tile)
+        for n in (13, 150):
+            for seed in (7, 2**64 + 5):
+                engine = montecarlo._means_range(model, n, seed, 3, 43)
+                expected = _reference_means(model, n, seed, 3, 43)
+                assert np.array_equal(engine, expected), (tile, n, seed)
+
+
+def test_engine_memory_stays_tile_sized():
+    # 5,000 replicates of 200 draws fit one seeding block; filled whole, its
+    # uniforms and each lookup temporary would take about 8 MiB apiece
+    model = Geometric(0.5)
+    tracemalloc.start()
+    try:
+        replicate_log_likelihood_means(model, 200, 5000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_engine_refuses_a_table_with_unlisted_mass():
@@ -309,7 +329,7 @@ def test_sweep_certificate_list_must_align(geom_half):
 
 
 def test_sweep_abort_carries_partial_results(geom_half):
-    uncertifiable = Tabulated([0.6, 0.4])  # complete, but no tail certificate
+    uncertifiable = Zeta(1.05)  # the default slack needs sums past the cap
     configs = [
         SimulationConfig(model=geom_half, n=10, eps=(0.4,), replicates=100, seed=0),
         SimulationConfig(model=uncertifiable, n=10, eps=(0.4,), replicates=100, seed=0),
@@ -318,7 +338,7 @@ def test_sweep_abort_carries_partial_results(geom_half):
         sweep(configs)
     assert len(excinfo.value.partial) == 1
     assert excinfo.value.partial[0].model == "geometric:0.5"
-    assert isinstance(excinfo.value.__cause__, MissingCertificateError)
+    assert isinstance(excinfo.value.__cause__, ResourceCapError)
 
 
 def test_sweep_on_report_callback(geom_half):
