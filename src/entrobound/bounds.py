@@ -24,6 +24,8 @@ from .certify import (
     DEFAULT_SLACK,
     EntropyInterval,
     MomentCertificate,
+    _log_pmf_sum,
+    _own_tail,
     _truncation_ladder,
     admissible_r_interval,
     certify_moment,
@@ -31,7 +33,6 @@ from .certify import (
 )
 from .distributions import PmfModel
 from .errors import AdmissibilityError, ResourceCapError
-from .summation import indexed_chunk_sum
 
 __all__ = [
     "SQRT_PI",
@@ -204,13 +205,9 @@ def mgf_exact(
         s = 1.0 - r
 
     exponent = 1.0 + lam
-
-    def term(ks: np.ndarray) -> np.ndarray:
-        return np.exp(exponent * model.log_pmf_array(ks))
-
     partial, summed = 0.0, 0
     for k_cut, remainder in _truncation_ladder(model, None, s, 64, f"MGF tolerance {tol:g}"):
-        partial += indexed_chunk_sum(term, summed + 1, k_cut)
+        partial += _log_pmf_sum(model, lambda lp: np.exp(exponent * lp), summed + 1, k_cut)
         summed = k_cut
         lo = partial * factor_lo
         hi = (partial + remainder) * factor_hi
@@ -235,12 +232,13 @@ def select_r(
     """Pick a moment order for a model.
 
     Without a target radius this is the default rule (midpoint of the
-    admissible interval for power-law tails, one half for ratio tails).
-    With one, a 21-point grid over the admissible interval is certified
-    and the order minimising c1 + c2 * target_eps wins; grid points whose
-    certification exceeds the truncation budget are skipped.
+    admissible interval for power-law tails, one half for ratio tails and
+    for a complete table without a tail). With one, a 21-point grid over
+    the admissible interval is certified and the order minimising
+    c1 + c2 * target_eps wins; grid points whose certification exceeds
+    the truncation budget are skipped.
     """
-    tail = model.tail_certificate()
+    tail = _own_tail(model)
     if target_eps is None:
         return default_r(tail)
     if not (target_eps > 0 and math.isfinite(target_eps)):

@@ -128,11 +128,12 @@ class EntropyInterval:
         return 0.5 * (self.lower + self.upper)
 
 
-def admissible_r_interval(tail: PowerLawTail | GeometricRatioTail) -> tuple[float, float]:
-    """Open interval of moment orders the tail certificate admits."""
+def admissible_r_interval(tail: PowerLawTail | GeometricRatioTail | None) -> tuple[float, float]:
+    """Open interval of moment orders the tail certificate admits; (0, 1)
+    for a complete table without a tail."""
     if isinstance(tail, PowerLawTail):
         return (0.0, (tail.alpha - 1.0) / tail.alpha)
-    if isinstance(tail, GeometricRatioTail):
+    if isinstance(tail, GeometricRatioTail) or tail is None:
         return (0.0, 1.0)
     raise TypeError(f"not a tail certificate: {tail!r}")
 
@@ -163,7 +164,13 @@ def power_sum_partial(model: PmfModel, r: float, k_max: int) -> float:
     if not (0.0 < r < 1.0):
         raise AdmissibilityError(f"moment order r must lie in (0, 1), got {r!r}")
     s = 1.0 - r
-    return indexed_chunk_sum(lambda ks: np.exp(s * model.log_pmf_array(ks)), 1, k_max)
+    return _log_pmf_sum(model, lambda lp: np.exp(s * lp), 1, k_max)
+
+
+def _log_pmf_sum(model: PmfModel, term, start: int, stop: int) -> float:
+    """Sum ``term(log p_k)`` over k in [start, stop] by ``indexed_chunk_sum``,
+    each chunk's log-pmf read through ``model.log_pmf_range``."""
+    return indexed_chunk_sum(lambda lo, hi: term(model.log_pmf_range(lo, hi)), start, stop)
 
 
 def tail_power_sum_bound(
@@ -343,6 +350,16 @@ def _certify_on_ladder(
     )
 
 
+def _own_tail(model: PmfModel) -> PowerLawTail | GeometricRatioTail | None:
+    """The model's tail certificate; None for a complete table built without one."""
+    try:
+        return model.tail_certificate()
+    except MissingCertificateError:
+        if not model.is_complete():
+            raise
+        return None
+
+
 def certify_moment(
     model: PmfModel,
     r: float | None = None,
@@ -354,12 +371,7 @@ def certify_moment(
     table built without a tail certificate is summed exactly through its
     end, with provenance ``"exact"``.
     """
-    try:
-        tail = model.tail_certificate()
-    except MissingCertificateError:
-        if not model.is_complete():
-            raise
-        tail = None
+    tail = _own_tail(model)
     if r is None:
         r = default_r(tail)
     if tail is None:
@@ -368,14 +380,6 @@ def certify_moment(
     if isinstance(tail, PowerLawTail):
         return certify_moment_powerlaw(model, r, eps, tail=tail)
     return certify_moment_ratio(model, r, eps, tail=tail)
-
-
-def _entropy_term(model: PmfModel):
-    def term(ks: np.ndarray) -> np.ndarray:
-        lp = model.log_pmf_array(ks)
-        return -np.exp(lp) * lp
-
-    return term
 
 
 def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float) -> EntropyInterval:
@@ -399,7 +403,7 @@ def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float
         raise ResourceCapError(
             f"entropy tolerance {tol:g} is unreachable with {model.max_index()} listed masses"
         )
-    lower = indexed_chunk_sum(_entropy_term(model), 1, k_cut)
+    lower = _log_pmf_sum(model, lambda lp: -np.exp(lp) * lp, 1, k_cut)
     return EntropyInterval(lower=lower, upper=lower + remainder, tolerance=tol)
 
 

@@ -25,7 +25,7 @@ from scipy.special import gammaln
 from scipy.special import zeta as _riemann_zeta
 
 from .errors import MissingCertificateError, ModelError, ResourceCapError
-from .summation import compensated_sum
+from .summation import CHUNK, compensated_sum
 
 __all__ = [
     "PowerLawTail",
@@ -239,11 +239,19 @@ class PmfModel(abc.ABC):
     sampling backed by a lazily extended cache of cumulative sums. The
     cache is one record that is replaced whole when it grows, and a lookup
     reads one record, so it never mixes two states of the cache; the
-    cache never affects sampled values, only speed. Pickling drops it.
+    cache never affects sampled values, only speed.
+
+    Scalar lookups read log p_1 .. log p_size from the head, one read-only
+    ``log_pmf_array`` result whose size doubles from 1024 outcomes to cover
+    the deepest outcome looked up, up to ``CHUNK`` outcomes (8 MiB) and the
+    table end; ``log_pmf_range`` reads it for every range it already
+    holds. It too is replaced whole when it grows. Pickling drops the
+    cache and the head.
     """
 
     def __init__(self) -> None:
         self._cache: _InverseCdf | None = None
+        self._head: np.ndarray | None = None
 
     @property
     def _cdf(self) -> np.ndarray | None:
@@ -279,8 +287,29 @@ class PmfModel(abc.ABC):
         """Vectorised natural-log pmf at integer outcomes ``ks`` (each >= 1)."""
 
     def log_pmf(self, k: int) -> float:
-        """log p_k for a single outcome k >= 1."""
-        return float(self.log_pmf_array(np.asarray([k], dtype=np.int64))[0])
+        """log p_k for a single outcome k >= 1, read from the head when
+        k <= min(CHUNK, max_index())."""
+        head = self._head
+        if head is None or not 1 <= k <= head.size:
+            end = self.max_index()
+            cap = CHUNK if end is None else min(CHUNK, end)
+            if not 1 <= k <= cap:
+                return float(self.log_pmf_array(np.asarray([k], dtype=np.int64))[0])
+            # Growing recomputes the old entries: at most half the new head,
+            # and measured cheaper than copying them next to the new ones.
+            size = min(cap, max(1024, 1 << (int(k) - 1).bit_length()))
+            head = self.log_pmf_array(np.arange(1, size + 1, dtype=np.int64))
+            head.setflags(write=False)
+            self._head = head
+        return float(head[int(k) - 1])
+
+    def log_pmf_range(self, lo: int, hi: int) -> np.ndarray:
+        """``log_pmf_array`` at the outcomes lo..hi (lo <= hi), as a read-only
+        view of the head when the head already holds them all."""
+        head = self._head
+        if head is not None and 1 <= lo and hi <= head.size:
+            return head[lo - 1 : hi]
+        return self.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64))
 
     def _check_indices(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
@@ -367,7 +396,7 @@ class PmfModel(abc.ABC):
         self._cache = _InverseCdf(grown, log_pmf, 0 if cache is None else cache.offset)
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_cache": None}
+        return {**self.__dict__, "_cache": None, "_head": None}
 
 
 class Poisson(PmfModel):

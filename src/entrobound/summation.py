@@ -31,19 +31,19 @@ def compensated_sum(values: Iterable[float] | np.ndarray) -> float:
 
 
 def indexed_chunk_sum(
-    term: Callable[[np.ndarray], np.ndarray],
+    term: Callable[[int, int], np.ndarray],
     start: int,
     stop: int,
 ) -> float:
-    """Sum ``term(k)`` for integer k in ``[start, stop]`` without materialising
-    the whole range. ``term`` receives int64 arrays and must vectorise."""
+    """Sum the terms for integer k in ``[start, stop]`` without materialising
+    the whole range: ``term(lo, hi)`` returns the array of terms for k in
+    ``[lo, hi]``, one chunk of at most ``CHUNK`` indices at a time."""
     if stop < start:
         return 0.0
     parts = []
     lo = start
     while lo <= stop:
         hi = min(lo + CHUNK - 1, stop)
-        ks = np.arange(lo, hi + 1, dtype=np.int64)
-        parts.append(float(np.sum(term(ks))))
+        parts.append(float(np.sum(term(lo, hi))))
         lo = hi + 1
     return math.fsum(parts)

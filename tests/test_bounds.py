@@ -17,9 +17,13 @@ from entrobound import (
     BernsteinConstants,
     EntropyInterval,
     Geometric,
+    GeometricRatioTail,
     MomentCertificate,
+    NegativeBinomial,
+    Poisson,
     ResourceCapError,
     SQRT_PI,
+    Tabulated,
     Zeta,
     bernstein_constants,
     certify_moment,
@@ -311,3 +315,44 @@ def test_select_r_target_validation(geom_half):
 def test_select_r_reports_total_failure():
     with pytest.raises(ResourceCapError):
         select_r(Zeta(1.05), eps=1e-6, target_eps=0.5)
+
+
+# -- order independence -------------------------------------------------------------
+
+
+def _ratio_table():
+    q = 0.99
+    masses = q ** np.arange(3000)
+    return Tabulated(masses / (masses.sum() + 0.5 * masses[-1] * q / (1 - q)), tail=GeometricRatioTail(k0=1, q=q))
+
+
+_ORDER_MODELS = {
+    "geometric": lambda: Geometric(0.003),
+    "poisson": lambda: Poisson(17.3),
+    "negbinomial": lambda: NegativeBinomial(2.5, 0.7),
+    "zeta": lambda: Zeta(3.0),
+    "complete-table": lambda: Tabulated(np.full(1500, 1.0 / 1500)),
+    "ratio-table": _ratio_table,
+}
+
+
+def _results(make, warm: bool):
+    """Each entry point on its own model, fresh or with a head already
+    filled by a deeper call."""
+
+    def model():
+        m = make()
+        if warm:
+            m.log_pmf(min(2**20, m.max_index() or 2**20))
+        return m
+
+    eps = 1e-2 if isinstance(make(), Zeta) else 1e-6
+    cert = certify_moment(model(), eps=eps)
+    entropy = entropy_interval(model(), cert, 1e-6)
+    mgf = [mgf_exact(model(), cert, entropy, x * cert.r, tol=1e-6) for x in (-0.8, -0.3, 0.4, 0.8)]
+    return cert, entropy, mgf, select_r(model(), eps=eps, target_eps=0.2)
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_MODELS))
+def test_results_do_not_depend_on_a_warm_head(name):
+    assert _results(_ORDER_MODELS[name], warm=True) == _results(_ORDER_MODELS[name], warm=False)

@@ -44,6 +44,7 @@ from entrobound import (
     power_sum_partial,
     tail_power_sum_bound,
 )
+from entrobound.summation import indexed_chunk_sum
 
 SQRT2_PLUS_1 = 2.414213562373095
 # zeta(1.5) / zeta(2)**0.75 and 1/zeta(2), both from mpmath at 50 digits
@@ -203,18 +204,25 @@ def test_wrong_tail_shape_is_rejected(geom_half, zeta_two):
 # -- the truncation search against the linear scan it replaced -----------------
 
 
+def _reference_log_pmf(model, k):
+    """log p_k straight from ``log_pmf_array``, never from the model's head."""
+    return float(model.log_pmf_array(np.asarray([k], dtype=np.int64))[0])
+
+
 def _reference_log_mass_upper(model, tail, k):
     n = model.max_index()
     if n is None or k <= n:
-        return model.log_pmf(k)
+        return _reference_log_pmf(model, k)
     if n < tail.k0:
         raise ModelError("no anchor exists for the unlisted tail")
-    return model.log_pmf(n) + (k - n) * math.log(tail.q)
+    return _reference_log_pmf(model, n) + (k - n) * math.log(tail.q)
 
 
 def _reference_ratio_scan(model, r, eps):
     """Ratio certification as a linear scan over m = k0, k0 + 1, ...: the
-    smallest m whose remainder bound meets eps, one index at a time."""
+    smallest m whose remainder bound meets eps, one index at a time. It
+    reads no log-pmf head, and sums the way the package did before it had
+    one."""
     tail = model.tail_certificate()
     s = 1.0 - r
     denom = 1.0 - tail.q**s
@@ -228,7 +236,9 @@ def _reference_ratio_scan(model, r, eps):
             if model.max_index() is not None:
                 raise ModelError("slack is unreachable with the listed masses")
             raise ResourceCapError("needs partial sums beyond the cap")
-    partial = power_sum_partial(model, r, m)
+    partial = indexed_chunk_sum(
+        lambda lo, hi: np.exp(s * model.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64))), 1, m
+    )
     return MomentCertificate(
         r=r, C_r=partial + eps, slack=eps, truncation_index=m, provenance="ratio"
     )

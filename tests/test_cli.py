@@ -429,6 +429,19 @@ def test_certify_a_complete_table_without_a_tail(tmp_path, capsys):
     assert "provenance: exact" in out
 
 
+def test_select_r_on_a_complete_table_without_a_tail(tmp_path, capsys):
+    # The grid spans the admissible interval (0, 1) that certify_moment
+    # uses for such a table.
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"probs": [0.6, 0.4]}))
+    argv = ["certify", f"tabulated:{table}", "--target-eps", "0.1", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert 0.0 < cert["r"] < 1.0
+    assert cert["provenance"] == "exact"
+    assert cert["truncation_index"] == 2
+
+
 def test_exit_code_resource_cap(capsys):
     assert main(["certify", "zeta:1.05"]) == EXIT_RESOURCE
     assert "cap" in capsys.readouterr().err

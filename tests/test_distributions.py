@@ -27,6 +27,7 @@ from entrobound import (
     ResourceCapError,
     Tabulated,
     Zeta,
+    power_sum_partial,
     tail_from_dict,
 )
 
@@ -313,6 +314,130 @@ def test_models_pickle_without_cache(zeta_two):
     assert clone == zeta_two
     assert clone._cdf is None
     assert np.array_equal(clone.sample(seed=5, count=50), zeta_two.sample(seed=5, count=50))
+
+
+# -- log-pmf head ----------------------------------------------------------------
+
+
+def _direct(model, k):
+    """log p_k without the head."""
+    return float(model.log_pmf_array(np.asarray([k], dtype=np.int64))[0])
+
+
+@st.composite
+def _head_tables(draw):
+    """A random table, complete (no tail) or closed off by a ratio tail."""
+    n = draw(st.integers(1, 3000))
+    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) + 0.01
+    if draw(st.booleans()):
+        return Tabulated(w / w.sum())
+    q = 0.999
+    w = np.sort(w)[::-1] * q ** np.arange(n)
+    return Tabulated(w / (w.sum() + 0.5 * w[-1] * q / (1 - q)), tail=GeometricRatioTail(k0=1, q=q))
+
+
+_head_models = st.one_of(
+    st.builds(Geometric, st.floats(1e-4, 0.999)),
+    st.builds(Poisson, st.floats(0.01, 1e4)),
+    st.builds(NegativeBinomial, st.floats(0.1, 50.0), st.floats(0.01, 0.99)),
+    st.builds(Zeta, st.floats(1.01, 6.0)),
+    _head_tables(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_head_models, st.integers(1, 5000))
+def test_head_is_bitwise_log_pmf_array(model, k):
+    k = min(k, model.max_index() or k)
+    value = model.log_pmf(k)
+    head = model._head
+    assert not head.flags.writeable
+    direct = model.log_pmf_array(np.arange(1, head.size + 1, dtype=np.int64))
+    assert head.tobytes() == direct.tobytes()
+    assert np.float64(value).tobytes() == np.float64(_direct(model, k)).tobytes()
+    # Grown in a second step, the head still equals one direct call.
+    deeper = min(4 * head.size, model.max_index() or 4 * head.size)
+    model.log_pmf(deeper)
+    direct = model.log_pmf_array(np.arange(1, model._head.size + 1, dtype=np.int64))
+    assert model._head.tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 1023, 1024, 1025, 2**20, 2**20 + 1])
+def test_head_sizes_at_the_doubling_edges(k):
+    fresh = Geometric(1e-6)
+    assert fresh.log_pmf(k) == _direct(fresh, k)
+    want = {1: 1024, 1023: 1024, 1024: 1024, 1025: 2048, 2**20: 2**20}.get(k)
+    assert (None if fresh._head is None else fresh._head.size) == want
+    # On a model whose head is already full, the same outcome reads the same.
+    full = Geometric(1e-6)
+    full.log_pmf(2**20)
+    assert full.log_pmf(k) == _direct(fresh, k)
+    assert full._head.size == 2**20
+
+
+def test_ranges_read_the_head_they_lie_in():
+    model = Geometric(0.001)
+    power_sum_partial(model, 0.5, 5000)
+    assert model._head is None  # ranges read the head but never grow it
+    model.log_pmf(5)
+    view = model.log_pmf_range(3, 1024)
+    assert not view.flags.writeable
+    direct = model.log_pmf_array(np.arange(3, 1025, dtype=np.int64))
+    assert view.tobytes() == direct.tobytes()
+    crossing = model.log_pmf_range(1000, 1030)
+    assert crossing.flags.writeable  # past the head's end, computed directly
+    assert crossing.tobytes() == model.log_pmf_array(np.arange(1000, 1031, dtype=np.int64)).tobytes()
+    assert model._head.size == 1024
+
+
+def test_head_stops_at_chunk_and_table_end():
+    model = Geometric(1e-7)
+    model.log_pmf(2**20 + 5000)
+    assert model._head is None
+    model.log_pmf(2**20)
+    assert model._head.size == 2**20
+    model.log_pmf(2**20 + 5000)
+    assert model._head.size == 2**20
+    table = Tabulated(np.full(1500, 1.0 / 1500))
+    table.log_pmf(3)
+    assert table._head.size == 1024
+    table.log_pmf(1025)
+    assert table._head.size == 1500
+
+
+def test_tabulated_head_ends_with_the_table():
+    t = Tabulated([0.5, 0.25, 0.125], tail=GeometricRatioTail(k0=3, q=0.5))
+    assert t.log_pmf(3) == _direct(t, 3) == math.log(0.125)
+    assert t._head.size == 3
+    with pytest.raises(ModelError, match="mass unknown: outcome 4 lies beyond the 3 listed"):
+        _direct(t, 4)
+    with pytest.raises(ModelError, match="mass unknown: outcome 4 lies beyond the 3 listed"):
+        t.log_pmf(4)
+    with pytest.raises(ModelError, match="mass unknown"):
+        t.log_pmf_range(2, 4)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_head_refuses_outcomes_below_one(warm):
+    model = Zeta(2.0)
+    if warm:
+        model.log_pmf(10)
+    for k in (0, -1):
+        with pytest.raises(ModelError, match="1-based"):
+            model.log_pmf(k)
+    with pytest.raises(ModelError, match="1-based"):
+        model.log_pmf_range(0, 4)
+
+
+def test_models_pickle_without_head():
+    model = Poisson(3.0)
+    model.log_pmf(2**20)
+    assert model._head.nbytes == 8 * 2**20
+    blob = pickle.dumps(model)
+    assert len(blob) < 4096
+    clone = pickle.loads(blob)
+    assert clone == model and clone._head is None
+    assert clone.log_pmf(77) == model.log_pmf(77)
 
 
 # -- guided inverse-CDF lookup -------------------------------------------------
