@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import GeometricRatioTail, PmfModel, PowerLawTail
+from .distributions import GeometricRatioTail, PmfModel, PowerLawTail, json_int
 from .errors import AdmissibilityError, MissingCertificateError, ModelError, ResourceCapError
 from .summation import indexed_chunk_sum
 
@@ -94,7 +94,7 @@ class MomentCertificate:
                 r=float(payload["r"]),
                 C_r=float(payload["C_r"]),
                 slack=float(payload["slack"]),
-                truncation_index=int(payload["truncation_index"]),
+                truncation_index=json_int(payload["truncation_index"], "truncation_index"),
                 provenance=str(payload["provenance"]),
             )
         except KeyError as exc:

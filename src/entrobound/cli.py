@@ -31,7 +31,7 @@ from .certify import (
     certify_moment,
     entropy_upper_coarse,
 )
-from .distributions import Geometric, NegativeBinomial, PmfModel, Poisson, Tabulated, Zeta
+from .distributions import Geometric, NegativeBinomial, PmfModel, Poisson, Tabulated, Zeta, json_int
 from .errors import (
     AdmissibilityError,
     MissingCertificateError,
@@ -299,10 +299,10 @@ def _config_from_dict(payload: dict) -> tuple[SimulationConfig, MomentCertificat
     try:
         config = SimulationConfig(
             model=model,
-            n=int(n),
+            n=json_int(n, "n"),
             eps=eps,
-            replicates=int(payload.get("replicates", DEFAULT_REPLICATES)),
-            seed=int(payload.get("seed", 0)),
+            replicates=json_int(payload.get("replicates", DEFAULT_REPLICATES), "replicates"),
+            seed=json_int(payload.get("seed", 0), "seed"),
             entropy_tolerance=payload.get("entropy_tol"),
         )
         r, slack = (None if payload.get(k) is None else float(payload[k]) for k in ("r", "slack"))

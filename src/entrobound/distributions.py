@@ -132,6 +132,13 @@ class GeometricRatioTail:
         return {"type": "ratio", "k0": self.k0, "q": self.q}
 
 
+def json_int(value, name: str) -> int:
+    """An integer JSON field; ``int`` would accept a boolean or truncate a fraction."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # The documented spelling of each tail kind, mapped to the one ``to_dict``
 # writes; both are read.
 _TAIL_KINDS = {"power_law": "powerlaw", "geometric_ratio": "ratio"}
@@ -148,9 +155,9 @@ def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
     kind = payload.get("kind", payload.get("type"))
     kind = _TAIL_KINDS.get(kind, kind)
     if kind == "powerlaw":
-        return PowerLawTail(k0=int(payload["k0"]), c0=float(payload["c0"]), alpha=float(payload["alpha"]))
+        return PowerLawTail(json_int(payload["k0"], "tail k0"), float(payload["c0"]), float(payload["alpha"]))
     if kind == "ratio":
-        return GeometricRatioTail(k0=int(payload["k0"]), q=float(payload["q"]))
+        return GeometricRatioTail(k0=json_int(payload["k0"], "tail k0"), q=float(payload["q"]))
     raise ModelError(
         f"unknown tail certificate kind {kind!r}; expected 'power_law' or 'geometric_ratio'"
     )
@@ -159,10 +166,10 @@ def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
 class _InverseCdf:
     """One state of a model's inverse-CDF cache.
 
-    Holds the cumulative masses of outcomes offset+1..offset+size, their
-    log-pmf table, whether growing further is futile, and a guide table
-    over [0, 1) built on first use. The ``offset`` outcomes before them
-    have cumulative mass exactly 0.0 and are not stored: a binary search
+    Holds the cumulative masses of outcomes offset+1..offset+size, whether
+    growing further is futile, and a guide table over [0, 1) built on first
+    use; lookups score with the model's head. The ``offset`` outcomes before
+    them have cumulative mass exactly 0.0 and are not stored: a binary search
     for any u >= 0 passes over them, so no draw selects one. A cache that
     grows is a new record, so the guide always describes its own CDF.
 
@@ -176,15 +183,12 @@ class _InverseCdf:
     j / m are exact, so every index equals the binary search's.
     """
 
-    def __init__(self, cdf: np.ndarray, log_pmf: np.ndarray, offset: int = 0) -> None:
+    def __init__(self, cdf: np.ndarray, offset: int = 0) -> None:
         # Leading entries of exactly 0.0 move into the offset; the copy
         # frees the array that held them.
-        head = int(np.searchsorted(cdf, 0.0, side="right"))
-        if head:
-            cdf, log_pmf = cdf[head:].copy(), log_pmf[head:].copy()
-        self.cdf = cdf
-        self.log_pmf = log_pmf
-        self.offset = offset + head
+        zeros = int(np.searchsorted(cdf, 0.0, side="right"))
+        self.cdf = cdf[zeros:].copy() if zeros else cdf
+        self.offset = offset + zeros
         self.exhausted = False
         self._guide: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -196,7 +200,7 @@ class _InverseCdf:
     def index(self, u: np.ndarray) -> np.ndarray:
         """``np.searchsorted(cdf, u, side="right")`` clamped to ``size - 1``,
         for uniforms ``u`` in [0, 1) of any shape. This is a position in
-        the stored tables; the outcome drawn is ``offset + 1`` plus it."""
+        the stored masses; the outcome drawn is ``offset + 1`` plus it."""
         if self._guide is None:
             self._guide = self._build_guide()
         lo, thresh = self._guide
@@ -236,17 +240,14 @@ class PmfModel(abc.ABC):
 
     Subclasses define the log-pmf and a tail certificate; this base class
     supplies scalar lookups, equality on parameters, and inverse-CDF
-    sampling backed by a lazily extended cache of cumulative sums. The
-    cache is one record that is replaced whole when it grows, and a lookup
-    reads one record, so it never mixes two states of the cache; the
-    cache never affects sampled values, only speed.
-
-    Scalar lookups read log p_1 .. log p_size from the head, one read-only
-    ``log_pmf_array`` result whose size doubles from 1024 outcomes to cover
-    the deepest outcome looked up, up to ``CHUNK`` outcomes (8 MiB) and the
-    table end; ``log_pmf_range`` reads it for every range it already
-    holds. It too is replaced whole when it grows. Pickling drops the
-    cache and the head.
+    sampling. The model's one log-pmf memo is the head, the read-only table
+    log p_1 .. log p_size, which only ``_grow_head`` extends, by appending
+    ``log_pmf_array`` on the outcomes it lacks. Scalar lookups double it
+    from 1024 outcomes up to ``CHUNK`` (8 MiB) and the table end; the
+    sampling cache of cumulative masses grows it as far as its own, up to
+    ``_CDF_INDEX_CAP`` and the table end. The cache is one record, replaced
+    whole when it grows, so a lookup never mixes two states of it; it never
+    affects sampled values, only speed. Pickling drops the cache and head.
     """
 
     def __init__(self) -> None:
@@ -287,29 +288,32 @@ class PmfModel(abc.ABC):
         """Vectorised natural-log pmf at integer outcomes ``ks`` (each >= 1)."""
 
     def log_pmf(self, k: int) -> float:
-        """log p_k for a single outcome k >= 1, read from the head when
-        k <= min(CHUNK, max_index())."""
+        """log p_k for a single outcome k >= 1, read from the head, grown to
+        hold k, when k <= min(CHUNK, max_index())."""
         head = self._head
         if head is None or not 1 <= k <= head.size:
-            end = self.max_index()
-            cap = CHUNK if end is None else min(CHUNK, end)
+            cap = min(CHUNK, self.max_index() or CHUNK)
             if not 1 <= k <= cap:
                 return float(self.log_pmf_array(np.asarray([k], dtype=np.int64))[0])
-            # Growing recomputes the old entries: at most half the new head,
-            # and measured cheaper than copying them next to the new ones.
-            size = min(cap, max(1024, 1 << (int(k) - 1).bit_length()))
-            head = self.log_pmf_array(np.arange(1, size + 1, dtype=np.int64))
-            head.setflags(write=False)
-            self._head = head
+            head = self._grow_head(min(cap, max(1024, 1 << (int(k) - 1).bit_length())))
         return float(head[int(k) - 1])
 
     def log_pmf_range(self, lo: int, hi: int) -> np.ndarray:
         """``log_pmf_array`` at the outcomes lo..hi (lo <= hi), as a read-only
-        view of the head when the head already holds them all."""
+        view of the head, which it never grows, when the head holds them all."""
         head = self._head
         if head is not None and 1 <= lo and hi <= head.size:
             return head[lo - 1 : hi]
         return self.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64))
+
+    def _grow_head(self, want: int) -> np.ndarray:
+        """The head, first extended to hold at least ``want`` outcomes."""
+        have = 0 if self._head is None else self._head.size
+        if want > have:
+            new = self.log_pmf_array(np.arange(have + 1, want + 1, dtype=np.int64))
+            self._head = new if self._head is None else np.concatenate([self._head, new])
+            self._head.setflags(write=False)
+        return self._head
 
     def _check_indices(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
@@ -355,9 +359,8 @@ class PmfModel(abc.ABC):
         return (idx + self._cache.offset + 1).astype(np.int64)
 
     def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Position in the cache's stored tables of each uniform in ``u``
-        (values in [0, 1), any shape), and the stored log-pmf table those
-        positions address. Position i is outcome ``_cache.offset + 1 + i``."""
+        """Positions of the uniforms ``u`` (in [0, 1), any shape) in the stored
+        masses, and the head viewed from there: position i is outcome ``_cache.offset + 1 + i``."""
         target = float(u.max()) if u.size else 0.0
         cache = self._cache
         while cache is None or (cache.top <= target and not cache.exhausted):
@@ -366,7 +369,7 @@ class PmfModel(abc.ABC):
         # A draw can only land past the cached mass when the remaining tail
         # is below float resolution; the index folds it onto the last
         # cached outcome.
-        return cache.index(u), cache.log_pmf
+        return cache.index(u), self._head[cache.offset :]
 
     def _extend_cdf(self) -> None:
         cache = self._cache
@@ -381,19 +384,15 @@ class PmfModel(abc.ABC):
                 "lies too deep in the tail"
             )
         want = min(cap, max(1024, 2 * have))
-        ks = np.arange(have + 1, want + 1, dtype=np.int64)
-        log_pmf = self.log_pmf_array(ks)
-        masses = np.exp(log_pmf)
         base = 0.0 if cache is None else cache.top
-        grown = base + np.cumsum(masses)
+        grown = base + np.cumsum(np.exp(self._grow_head(want)[have:want]))
         if base > 0.0 and grown[-1] <= base:
             # Tail mass fell below float resolution; further growth is futile.
             cache.exhausted = True
             return
         if cache is not None:
             grown = np.concatenate([cache.cdf, grown])
-            log_pmf = np.concatenate([cache.log_pmf, log_pmf])
-        self._cache = _InverseCdf(grown, log_pmf, 0 if cache is None else cache.offset)
+        self._cache = _InverseCdf(grown, 0 if cache is None else cache.offset)
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_cache": None, "_head": None}
@@ -556,7 +555,6 @@ class Tabulated(PmfModel):
         self.missing = max(0.0, 1.0 - total)
         self.tail = tail
         self.label = label
-        self._log_masses = np.log(arr)
         if tail is None and not self.is_complete():
             raise MissingCertificateError(
                 f"listed masses sum to {total:.17g}; a tail certificate is required "
@@ -612,7 +610,7 @@ class Tabulated(PmfModel):
                 f"mass unknown: outcome {int(ks.max())} lies beyond the "
                 f"{self.masses.size} listed masses and no exact tail is available"
             )
-        return self._log_masses[ks - 1]
+        return np.log(self.masses[ks - 1])
 
     def tail_certificate(self) -> PowerLawTail | GeometricRatioTail:
         if self.tail is None:

@@ -162,6 +162,11 @@ def test_bound_huge_radius_is_finite(capsys):
             {"r": 0.5, "C_r": None, "slack": 0.0, "truncation_index": 3, "provenance": "ratio"},
             "malformed value",
         ),
+        (
+            ["bound", "--n", "100", "--eps", "0.5"],
+            {"r": 0.5, "C_r": 2.5, "slack": 0.0, "truncation_index": 7.9, "provenance": "ratio"},
+            "truncation_index must be an integer, got 7.9",
+        ),
     ],
 )
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, payload, fragment):
@@ -342,6 +347,12 @@ def test_sweep_abort_flushes_partial_results(tmp_path, capsys):
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "r": "x"}]', "malformed sweep config entry"),
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "replicates": null}]',
          "malformed sweep config entry"),
+        ('[{"model": "geometric:0.5", "n": 2.7, "eps": 0.5}]', "n must be an integer, got 2.7"),
+        ('[{"model": "geometric:0.5", "n": true, "eps": 0.5}]', "n must be an integer, got True"),
+        ('[{"model": "geometric:0.5", "n": 1e999, "eps": 0.5}]', "n must be an integer, got inf"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "seed": 3.7}]', "seed must be an integer"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "replicates": 300.5}]',
+         "replicates must be an integer"),
     ],
 )
 def test_sweep_config_validation(tmp_path, capsys, content, fragment):

@@ -27,6 +27,7 @@ from entrobound import (
     ResourceCapError,
     Tabulated,
     Zeta,
+    certify_moment,
     power_sum_partial,
     tail_from_dict,
 )
@@ -233,6 +234,11 @@ def test_tail_dict_round_trip():
         tail_from_dict({"kind": "ratio_cap", "k0": 2, "q": 0.5})
     with pytest.raises(ModelError):
         tail_from_dict([2, 0.5])
+    # k0 is read as an integer: an integral float is one, a fraction or a boolean is refused
+    assert tail_from_dict({"kind": "geometric_ratio", "k0": 2.0, "q": 0.5}) == GeometricRatioTail(2, 0.5)
+    for k0 in (2.9, True):
+        with pytest.raises(ModelError, match="tail k0 must be an integer"):
+            tail_from_dict({"kind": "power_law", "k0": k0, "c0": 0.7, "alpha": 2.5})
 
 
 def test_tail_validation():
@@ -440,6 +446,23 @@ def test_models_pickle_without_head():
     assert clone.log_pmf(77) == model.log_pmf(77)
 
 
+def test_certify_then_sample_computes_each_log_mass_once(monkeypatch):
+    terms = []
+    original = Geometric.log_pmf_array
+
+    def counted(self, ks):
+        terms.append(len(ks))
+        return original(self, ks)
+
+    monkeypatch.setattr(Geometric, "log_pmf_array", counted)
+    model = Geometric(0.5)
+    certify_moment(model)
+    model.sample(0, 1000)
+    model._lookup(np.array([np.nextafter(1.0, 0.0)]))  # grows the cache past the head's first size
+    assert model._head.size > 1024
+    assert sum(terms) == model._head.size
+
+
 # -- guided inverse-CDF lookup -------------------------------------------------
 
 
@@ -490,11 +513,10 @@ def _sorted_cdfs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_sorted_cdfs(), st.integers(0, 2**32 - 1))
 def test_guided_index_equals_binary_search(cdf, seed):
-    cache = dist._InverseCdf(cdf, np.arange(cdf.size, dtype=np.float64))
+    cache = dist._InverseCdf(cdf)
     # the leading exact zeros are not stored, and the offset counts them
     assert cache.offset == np.count_nonzero(cdf == 0.0)
     assert np.array_equal(cache.cdf, cdf[cache.offset :])
-    assert np.array_equal(cache.log_pmf, np.arange(cache.offset, cdf.size))
     if not cache.cdf.size:
         return  # an all-zero CDF covers no uniform, so it is never looked up
     u = _probe_uniforms(cdf, 1.0, seed)
@@ -518,7 +540,10 @@ def _assert_guided(model, u):
     assert cache.cdf[0] > 0.0
     whole = np.concatenate([np.zeros(cache.offset), cache.cdf])
     assert np.array_equal(cache.offset + idx, _binary_search_index(whole, u))
-    assert log_pmf is cache.log_pmf
+    # the table the lookup scores with is the log-pmf of the stored outcomes
+    stored = np.arange(cache.offset + 1, cache.offset + cache.cdf.size + 1, dtype=np.int64)
+    assert log_pmf.size >= cache.cdf.size and not log_pmf.flags.writeable
+    assert log_pmf[: cache.cdf.size].tobytes() == model.log_pmf_array(stored).tobytes()
     assert np.array_equal(model._invert(u), _binary_search_index(whole, u) + 1)
 
 
