@@ -139,12 +139,9 @@ def admissible_r_interval(tail: PowerLawTail | GeometricRatioTail | None) -> tup
 
 
 def default_r(tail: PowerLawTail | GeometricRatioTail | None) -> float:
-    """Default moment order: midpoint of the admissible interval for
-    power-law tails, one half for ratio tails and for a complete table
-    without a tail."""
-    if isinstance(tail, PowerLawTail):
-        return (tail.alpha - 1.0) / (2.0 * tail.alpha)
-    return 0.5
+    """Default moment order: the midpoint of the admissible interval, so
+    one half for ratio tails and for a complete table without a tail."""
+    return admissible_r_interval(tail)[1] / 2.0
 
 
 def _require_admissible(r: float, tail: PowerLawTail | GeometricRatioTail) -> None:

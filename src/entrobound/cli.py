@@ -44,7 +44,6 @@ from .montecarlo import (
     SimulationConfig,
     SimulationReport,
     estimate_deviation_probability,
-    report_to_dict,
     reports_to_csv,
     reports_to_json,
     sweep,
@@ -244,11 +243,8 @@ def _report_text(report: SimulationReport) -> str:
 
 
 def _reports_exit_code(reports: list[SimulationReport]) -> int:
-    for report in reports:
-        for record in report.records:
-            if record.verdict == "FAIL":
-                return EXIT_SIM_FAIL
-    return EXIT_OK
+    failed = any(record.verdict == "FAIL" for report in reports for record in report.records)
+    return EXIT_SIM_FAIL if failed else EXIT_OK
 
 
 def _emit_reports(reports: list[SimulationReport], fmt: str, out: str | None) -> None:
@@ -269,17 +265,14 @@ def _emit_reports(reports: list[SimulationReport], fmt: str, out: str | None) ->
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = parse_model_spec(args.model)
-    try:
-        config = SimulationConfig(
-            model=model,
-            n=args.n,
-            eps=_parse_eps_list(args.eps),
-            replicates=args.replicates,
-            seed=args.seed,
-            entropy_tolerance=args.entropy_tol,
-        )
-    except ValueError as exc:
-        raise ModelError(str(exc)) from exc
+    config = SimulationConfig(
+        model=model,
+        n=args.n,
+        eps=_parse_eps_list(args.eps),
+        replicates=args.replicates,
+        seed=args.seed,
+        entropy_tolerance=args.entropy_tol,
+    )
     certificate = _resolve_certificate(model, args.cert, args.r, args.slack, None)
     report = estimate_deviation_probability(config, certificate, workers=args.workers)
     _emit_reports([report], args.format, args.out)

@@ -29,7 +29,7 @@ import math
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -340,6 +340,17 @@ def _verdict(frequency: float, stderr: float, bound_value: float) -> str:
     return "PASS"
 
 
+def _record(
+    eps: float, hits: int, replicates: int, n: int, constants: BernsteinConstants
+) -> EpsRecord:
+    """The record of radius ``eps`` that ``hits`` of ``replicates`` reached."""
+    frequency = hits / replicates
+    stderr = _stderr(hits, replicates)
+    bound_value = deviation_bound(constants, n, eps)
+    verdict = _verdict(frequency, stderr, bound_value)
+    return EpsRecord(eps, hits, frequency, stderr, bound_value, verdict)
+
+
 def estimate_deviation_probability(
     config: SimulationConfig,
     certificate: MomentCertificate | None = None,
@@ -361,22 +372,10 @@ def estimate_deviation_probability(
     )
     # E[log P(X)] = -H, so the centred statistic is the mean plus H.
     deviations = np.abs(means + enclosure.midpoint)
-    records = []
-    for eps in config.eps:
-        hits = int(np.count_nonzero(deviations >= eps))
-        frequency = hits / config.replicates
-        stderr = _stderr(hits, config.replicates)
-        bound_value = deviation_bound(constants, config.n, eps)
-        records.append(
-            EpsRecord(
-                eps=eps,
-                hit_count=hits,
-                frequency=frequency,
-                stderr=stderr,
-                bound_value=bound_value,
-                verdict=_verdict(frequency, stderr, bound_value),
-            )
-        )
+    records = tuple(
+        _record(e, int(np.count_nonzero(deviations >= e)), config.replicates, config.n, constants)
+        for e in config.eps
+    )
     return SimulationReport(
         model=model.describe(),
         n=config.n,
@@ -384,7 +383,7 @@ def estimate_deviation_probability(
         seed=config.seed,
         certificate=certificate,
         entropy=enclosure,
-        records=tuple(records),
+        records=records,
         elapsed=time.perf_counter() - start,
     )
 
@@ -404,8 +403,8 @@ def estimate_mgf(
     if not (isinstance(samples, int) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ks = model.draw(rng, samples)
-    values = np.exp(lam * (model.log_pmf_array(ks) + entropy.midpoint))
+    idx, log_pmf = model._lookup(rng.random(samples))
+    values = np.exp(lam * (log_pmf[idx] + entropy.midpoint))
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr
@@ -452,18 +451,13 @@ def verify_bound(report: SimulationReport) -> dict:
     constants = bernstein_constants(report.certificate)
     tally = {"PASS": 0, "VACUOUS": 0, "FAIL": 0}
     for record in report.records:
-        frequency = record.hit_count / report.replicates
-        stderr = _stderr(record.hit_count, report.replicates)
-        bound_value = deviation_bound(constants, report.n, record.eps)
-        verdict = _verdict(frequency, stderr, bound_value)
-        stored = (record.frequency, record.stderr, record.bound_value, record.verdict)
-        derived = (frequency, stderr, bound_value, verdict)
-        if stored != derived:
+        derived = _record(record.eps, record.hit_count, report.replicates, report.n, constants)
+        if record != derived:
             raise ReportIntegrityError(
-                f"record at eps={record.eps:g} is inconsistent: stored {stored}, "
+                f"record at eps={record.eps:g} is inconsistent: stored {record}, "
                 f"re-derived {derived}"
             )
-        tally[verdict] += 1
+        tally[derived.verdict] += 1
     tally["overall"] = "FAIL" if tally["FAIL"] else "PASS"
     return tally
 
@@ -471,66 +465,26 @@ def verify_bound(report: SimulationReport) -> dict:
 # -- serialisation -----------------------------------------------------------
 
 
-def _csv_cell(value) -> str:
-    # repr keeps the full float and is stable across runs, which the
-    # byte-identical output contract relies on.
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def reports_to_csv(reports: list[SimulationReport]) -> str:
     """One row per (config, eps). Deliberately excludes wall time."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    # csv writes a float, numpy's included, as repr: the full float, stable
+    # across runs, which the byte-identical output contract relies on.
+    writer = csv.DictWriter(buffer, CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
     for report in reports:
-        for record in report.records:
-            writer.writerow(
-                [
-                    report.model,
-                    report.n,
-                    report.replicates,
-                    report.seed,
-                    _csv_cell(report.certificate.r),
-                    _csv_cell(report.certificate.C_r),
-                    _csv_cell(report.certificate.slack),
-                    _csv_cell(record.eps),
-                    record.hit_count,
-                    _csv_cell(record.frequency),
-                    _csv_cell(record.stderr),
-                    _csv_cell(record.bound_value),
-                    record.verdict,
-                ]
-            )
+        payload = asdict(report)
+        row = {**payload, **payload["certificate"]}
+        for record in payload["records"]:
+            writer.writerow({**row, **record})
     return buffer.getvalue()
 
 
 def report_to_dict(report: SimulationReport) -> dict:
-    return {
-        "model": report.model,
-        "n": report.n,
-        "replicates": report.replicates,
-        "seed": report.seed,
-        "certificate": report.certificate.to_dict(),
-        "entropy": {
-            "lower": report.entropy.lower,
-            "upper": report.entropy.upper,
-            "tolerance": report.entropy.tolerance,
-        },
-        "records": [
-            {
-                "eps": record.eps,
-                "hit_count": record.hit_count,
-                "frequency": record.frequency,
-                "stderr": record.stderr,
-                "bound_value": record.bound_value,
-                "verdict": record.verdict,
-            }
-            for record in report.records
-        ],
-        "elapsed_seconds": report.elapsed,
-    }
+    payload = asdict(report)
+    payload["records"] = list(payload["records"])
+    payload["elapsed_seconds"] = payload.pop("elapsed")
+    return payload
 
 
 def reports_to_json(reports: list[SimulationReport]) -> str:

@@ -277,6 +277,24 @@ def test_estimate_mgf_matches_certified_value(geom_half):
     assert abs(mean - MGF_EXACT_PLUS_QUARTER) <= 4.0 * stderr
 
 
+def test_estimate_mgf_scores_draws_from_the_head(monkeypatch):
+    # The draws are scored from the memoised head the inverse CDF already
+    # reads, not by evaluating the log-pmf once per draw.
+    terms = []
+    log_pmf_array = Geometric.log_pmf_array
+
+    def counted(self, ks):
+        terms.append(np.size(ks))
+        return log_pmf_array(self, ks)
+
+    model = Geometric(0.5)
+    cert = certify_moment(model, r=0.5, eps=1e-9)
+    interval = entropy_interval(model, cert, 1e-12)
+    monkeypatch.setattr(Geometric, "log_pmf_array", counted)
+    estimate_mgf(model, interval, 0.25, samples=200_000, seed=31)
+    assert sum(terms) <= 2048
+
+
 def test_estimate_mgf_validation(geom_half):
     cert = certify_moment(geom_half, r=0.5, eps=1e-9)
     interval = entropy_interval(geom_half, cert, 1e-12)
@@ -372,6 +390,15 @@ def test_csv_is_stable_across_runs(geom_half):
     a = reports_to_csv([estimate_deviation_probability(config)])
     b = reports_to_csv([estimate_deviation_probability(config)])
     assert a == b
+
+
+def test_numpy_float_certificate_fields_serialise_as_plain_floats(geom_half):
+    cert = certify_moment(geom_half, r=np.float64(0.3), eps=1e-4)
+    config = SimulationConfig(model=geom_half, n=30, eps=(0.2,), replicates=400, seed=9)
+    report = estimate_deviation_probability(config, cert)
+    row = reports_to_csv([report]).split("\n")[1].split(",")
+    assert row[CSV_COLUMNS.index("r")] == "0.3"
+    assert '"r": 0.3,' in reports_to_json([report])
 
 
 def test_json_payload_shape(geom_half):
