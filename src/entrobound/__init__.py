@@ -33,7 +33,6 @@ from .certify import (
     entropy_interval,
     entropy_upper_coarse,
     power_sum_partial,
-    tail_power_sum_bound,
 )
 from .distributions import (
     Geometric,
@@ -91,7 +90,6 @@ __all__ = [
     "admissible_r_interval",
     "default_r",
     "power_sum_partial",
-    "tail_power_sum_bound",
     "entropy_interval",
     "entropy_upper_coarse",
     "DEFAULT_SLACK",

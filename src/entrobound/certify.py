@@ -6,12 +6,12 @@ the truncation index actually summed and the slack added on top, and
 they serialise to a stable JSON shape so a certification can be reused
 by later bound computations.
 
-Tail handling differs by certificate shape. For a power-law mass cap the
-truncation index comes from a closed form driven by the integral bound
-on the remainder; for a ratio cap the remainder is dominated by a
-geometric series anchored at the first unsummed mass. A complete table
-needs no remainder past its end, so it is certified with or without a
-tail certificate.
+Each tail certificate shape carries its own math: ``tail.r_max`` ends the
+admissible orders and ``tail.remainder(model, s)`` bounds the power sum
+past a truncation index. A power-law cap takes that index from a closed
+form driven by its integral bound; a ratio cap takes the smallest index
+whose geometric remainder meets the slack. A complete table needs no
+remainder past its end, so it is certified with or without a tail.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "certify_moment_powerlaw",
     "certify_moment_ratio",
     "power_sum_partial",
-    "tail_power_sum_bound",
     "entropy_interval",
     "entropy_upper_coarse",
 ]
@@ -58,10 +57,12 @@ class MomentCertificate:
     """A certified upper estimate C_r of sum_k p_k**(1 - r).
 
     ``truncation_index`` is the last index included in the exact partial
-    sum; ``slack`` is the amount added to cover the remaining tail. The
-    remainder the construction actually controls is at most ``slack``,
-    so C_r overshoots the true series by at most ``slack`` as well.
-    """
+    sum; ``slack`` is the amount added to cover the remaining tail. Ratio
+    and exact certificates bound that remainder by ``slack``, so C_r lies
+    between the series, up to float rounding, and the series plus ``slack``.
+    A power-law certificate bounds it only by ``slack * c0**(-r)``, so its
+    C_r can undershoot the series by up to ``slack * (c0**(-r) - 1)``
+    (ROADMAP.md, open item 1)."""
 
     r: float
     C_r: float
@@ -131,25 +132,13 @@ class EntropyInterval:
 def admissible_r_interval(tail: PowerLawTail | GeometricRatioTail | None) -> tuple[float, float]:
     """Open interval of moment orders the tail certificate admits; (0, 1)
     for a complete table without a tail."""
-    if isinstance(tail, PowerLawTail):
-        return (0.0, (tail.alpha - 1.0) / tail.alpha)
-    if isinstance(tail, GeometricRatioTail) or tail is None:
-        return (0.0, 1.0)
-    raise TypeError(f"not a tail certificate: {tail!r}")
+    return (0.0, 1.0 if tail is None else tail.r_max)
 
 
 def default_r(tail: PowerLawTail | GeometricRatioTail | None) -> float:
     """Default moment order: the midpoint of the admissible interval, so
     one half for ratio tails and for a complete table without a tail."""
     return admissible_r_interval(tail)[1] / 2.0
-
-
-def _require_admissible(r: float, tail: PowerLawTail | GeometricRatioTail) -> None:
-    lo, hi = admissible_r_interval(tail)
-    if not (lo < r < hi):
-        raise AdmissibilityError(
-            f"inadmissible r: {r!r} lies outside the admissible interval ({lo:g}, {hi:g})"
-        )
 
 
 def power_sum_partial(model: PmfModel, r: float, k_max: int) -> float:
@@ -168,44 +157,6 @@ def _log_pmf_sum(model: PmfModel, term, start: int, stop: int) -> float:
     """Sum ``term(log p_k)`` over k in [start, stop] by ``indexed_chunk_sum``,
     each chunk's log-pmf read through ``model.log_pmf_range``."""
     return indexed_chunk_sum(lambda lo, hi: term(model.log_pmf_range(lo, hi)), start, stop)
-
-
-def tail_power_sum_bound(
-    model: PmfModel,
-    tail: PowerLawTail | GeometricRatioTail,
-    k_from: int,
-    s: float,
-) -> float:
-    """Certified upper bound on sum_{k > k_from} p_k**s for s in (0, 1].
-
-    Power-law tails use the integral bound on c0**s * k**(-alpha*s), which
-    requires alpha*s > 1; ratio tails dominate the sum by a geometric
-    series starting at the first excluded mass.
-    """
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"power must lie in (0, 1], got {s!r}")
-    if k_from < tail.k0:
-        raise ValueError(f"tail bound needs a start index >= k0={tail.k0}, got {k_from}")
-    if isinstance(tail, PowerLawTail):
-        decay = tail.alpha * s - 1.0
-        if decay <= 0.0:
-            raise AdmissibilityError(
-                f"power sum at exponent {s:g} is not certified by a power-law tail "
-                f"with alpha={tail.alpha:g}; need alpha * exponent > 1"
-            )
-        return tail.c0**s * float(k_from) ** (-decay) / decay
-    n = model.max_index()
-    if n is None or k_from < n:
-        log_head = model.log_pmf(k_from + 1)
-    elif n < tail.k0:
-        raise ModelError(
-            f"ratio tail certificate starts at k0={tail.k0}, beyond the {n} listed "
-            "masses; no anchor exists for the unlisted tail"
-        )
-    else:
-        # Beyond the table, chain the ratio cap from the last listed mass.
-        log_head = model.log_pmf(n) + (k_from + 1 - n) * math.log(tail.q)
-    return math.exp(s * log_head) / (1.0 - tail.q**s)
 
 
 def _cap_error(what: str) -> ResourceCapError:
@@ -232,25 +183,29 @@ def _truncation_ladder(
         return
     if tail is None:
         tail = model.tail_certificate()
+    remainder = tail.remainder(model, s)
     stop = TRUNCATION_CAP if end is None else end
     k = max(k_min, tail.k0)
     while k < stop:
-        yield k, tail_power_sum_bound(model, tail, k, s)
+        yield k, remainder(k)
         k *= 2
     if tail.k0 <= stop:
-        yield stop, tail_power_sum_bound(model, tail, stop, s)
+        yield stop, remainder(stop)
     if end is None:
         raise _cap_error(what)
 
 
-def _certification_tail(model: PmfModel, tail, shape: type, name: str, r: float, eps: float):
+def _certification_tail(model: PmfModel, tail, shape: type, r: float, eps: float):
     """``tail``, or the model's own, once it has the shape a certification
     needs and admits order ``r``, and the slack ``eps`` is usable."""
     if tail is None:
         tail = model.tail_certificate()
     if not isinstance(tail, shape):
-        raise ModelError(f"{name} certification needs a {name} tail, got {tail!r}")
-    _require_admissible(r, tail)
+        raise ModelError(f"{shape.kind} certification needs a {shape.kind} tail, got {tail!r}")
+    if not (0.0 < r < tail.r_max):
+        raise AdmissibilityError(
+            f"inadmissible r: {r!r} lies outside the admissible interval (0, {tail.r_max:g})"
+        )
     _require_slack(eps)
     return tail
 
@@ -274,7 +229,7 @@ def certify_moment_powerlaw(
     is certified as ``certify_moment_ratio`` certifies one, with the
     power-law remainder bound, so it never sums past its end.
     """
-    tail = _certification_tail(model, tail, PowerLawTail, "power-law", r, eps)
+    tail = _certification_tail(model, tail, PowerLawTail, r, eps)
     if model.is_complete():
         return _certify_on_ladder(model, tail, r, eps, "powerlaw")
     decay = tail.alpha * (1.0 - r) - 1.0
@@ -305,7 +260,7 @@ def certify_moment_ratio(
     dominates the discarded tail, C_r here never undershoots the series.
     A complete table needs no remainder past its last listed mass.
     """
-    tail = _certification_tail(model, tail, GeometricRatioTail, "ratio", r, eps)
+    tail = _certification_tail(model, tail, GeometricRatioTail, r, eps)
     return _certify_on_ladder(model, tail, r, eps, "ratio")
 
 
@@ -338,9 +293,8 @@ def _certify_on_ladder(
     else:
         # The remainder bound does not increase past k0, so the smallest m
         # meeting eps is found by bisection between the last two rungs.
-        m = lo + 1 + bisect.bisect_left(
-            range(lo + 1, hi), True, key=lambda k: tail_power_sum_bound(model, tail, k, s) <= eps
-        )
+        remainder = tail.remainder(model, s)
+        m = lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=lambda k: remainder(k) <= eps)
     partial = power_sum_partial(model, r, m)
     return MomentCertificate(
         r=r, C_r=partial + eps, slack=eps, truncation_index=m, provenance=provenance

@@ -123,8 +123,13 @@ def _resolve_certificate(
 ) -> MomentCertificate:
     """The certificate a command works from: loaded from ``cert`` when given,
     else certified for ``model`` at order ``r`` (or the one ``select_r``
-    picks for ``target_eps``) and ``slack``, each unset value defaulting."""
+    picks for ``target_eps``) and ``slack``, each unset value defaulting.
+    A loaded certificate was checked against no model and fixes r and slack."""
     if cert:
+        inputs = (("a model spec", model), ("--r", r), ("--slack", slack), ("--target-eps", target_eps))
+        given = ", ".join(name for name, value in inputs if value is not None)
+        if given:
+            raise ModelError(f"--cert cannot be combined with {given}")
         return MomentCertificate.load(cert)
     if model is None:
         raise ModelError("either a model spec or --cert is required")
@@ -273,7 +278,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         entropy_tolerance=args.entropy_tol,
     )
-    certificate = _resolve_certificate(model, args.cert, args.r, args.slack, None)
+    # The model is always given, to sample; --cert only replaces certifying it.
+    certificate = _resolve_certificate(None if args.cert else model, args.cert, args.r, args.slack, None)
     report = estimate_deviation_probability(config, certificate, workers=args.workers)
     _emit_reports([report], args.format, args.out)
     return _reports_exit_code([report])

@@ -17,14 +17,14 @@ from __future__ import annotations
 import abc
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
 from scipy.special import zeta as _riemann_zeta
 
-from .errors import MissingCertificateError, ModelError, ResourceCapError
+from .errors import AdmissibilityError, MissingCertificateError, ModelError, ResourceCapError
 from .summation import CHUNK, compensated_sum
 
 __all__ = [
@@ -51,13 +51,33 @@ _CDF_INDEX_CAP = 2**27
 _SPOT_CHECK_SLACK = 1e-9
 
 
+class _TailCertificate:
+    """What both tail shapes share: one validation per power, and spot checks."""
+
+    def remainder(self, model: "PmfModel", s: float):
+        """``k -> `` a certified upper bound on sum_{j > k} p_j**s for k >= k0,
+        with s in (0, 1] and the model validated here, once, not per call."""
+        if not (0.0 < s <= 1.0):
+            raise ValueError(f"power must lie in (0, 1], got {s!r}")
+        return self._remainder(model, s)
+
+    def spot_check(self, model: "PmfModel", probes: int = 100, span: int = 10**6, seed: int = 0) -> None:
+        """Probe pseudo-random indices in k0+1 .. min(k0 + span, table end)
+        and verify the cap at each."""
+        hi = self.k0 + span if model.max_index() is None else min(self.k0 + span, model.max_index())
+        if hi > self.k0:
+            self._check(model, np.random.default_rng(seed).integers(self.k0 + 1, hi + 1, size=probes))
+
+
 @dataclass(frozen=True)
-class PowerLawTail:
+class PowerLawTail(_TailCertificate):
     """Asserts p_k <= c0 * k**(-alpha) for every k > k0."""
 
     k0: int
     c0: float
     alpha: float
+
+    kind = "power-law"
 
     def __post_init__(self) -> None:
         if not (isinstance(self.k0, int) and self.k0 >= 0):
@@ -67,15 +87,21 @@ class PowerLawTail:
         if not (self.alpha > 1 and math.isfinite(self.alpha)):
             raise ModelError(f"power-law tail exponent must exceed 1, got {self.alpha!r}")
 
-    def spot_check(self, model: "PmfModel", probes: int = 100, span: int = 10**6, seed: int = 0) -> None:
-        """Probe pseudo-random indices beyond k0 and verify the mass cap."""
-        hi = self.k0 + span
-        if model.max_index() is not None:
-            hi = min(hi, model.max_index())
-        if hi <= self.k0:
-            return
-        rng = np.random.default_rng(seed)
-        self._check(model, rng.integers(self.k0 + 1, hi + 1, size=probes, dtype=np.int64))
+    @property
+    def r_max(self) -> float:
+        """End of the admissible orders: alpha * (1 - r) > 1 keeps p_k**(1 - r) summable."""
+        return (self.alpha - 1.0) / self.alpha
+
+    def _remainder(self, model: "PmfModel", s: float):
+        # The integral bound on sum_{j > k} c0**s * j**(-alpha*s).
+        decay = self.alpha * s - 1.0
+        if decay <= 0.0:
+            raise AdmissibilityError(
+                f"power sum at exponent {s:g} is not certified by a power-law tail "
+                f"with alpha={self.alpha:g}; need alpha * exponent > 1"
+            )
+        scale = self.c0**s
+        return lambda k: scale * float(k) ** (-decay) / decay
 
     def _check(self, model: "PmfModel", ks: np.ndarray) -> None:
         """Verify the mass cap at every index in ``ks`` (each > k0)."""
@@ -94,11 +120,14 @@ class PowerLawTail:
 
 
 @dataclass(frozen=True)
-class GeometricRatioTail:
+class GeometricRatioTail(_TailCertificate):
     """Asserts p_{k+1} / p_k <= q for every k >= k0."""
 
     k0: int
     q: float
+
+    kind = "ratio"
+    r_max = 1.0  # every order in (0, 1) is summable under a ratio cap
 
     def __post_init__(self) -> None:
         if not (isinstance(self.k0, int) and self.k0 >= 1):
@@ -106,23 +135,32 @@ class GeometricRatioTail:
         if not (0.0 < self.q < 1.0):
             raise ModelError(f"ratio tail factor must lie in (0, 1), got {self.q!r}")
 
-    def spot_check(self, model: "PmfModel", probes: int = 100, span: int = 10**6, seed: int = 0) -> None:
-        """Probe pseudo-random indices at or beyond k0 and verify the ratio cap."""
-        hi = self.k0 + span - 1
-        if model.max_index() is not None:
-            hi = min(hi, model.max_index() - 1)
-        if hi < self.k0:
-            return
-        rng = np.random.default_rng(seed)
-        self._check(model, rng.integers(self.k0, hi + 1, size=probes, dtype=np.int64))
+    def _remainder(self, model: "PmfModel", s: float):
+        # A geometric series from the first excluded mass p_{k+1}; past a
+        # table's end, that mass is capped by chaining q from the last one.
+        n = model.max_index()
+        if n is not None and n < self.k0:
+            raise ModelError(
+                f"ratio tail certificate starts at k0={self.k0}, beyond the {n} listed "
+                "masses; no anchor exists for the unlisted tail"
+            )
+        log_end = None if n is None else float(model.log_pmf_range(n, n)[0])
+        log_q, denom = math.log(self.q), 1.0 - self.q**s
+
+        def bound(k: int) -> float:
+            if n is None or k < n:
+                return math.exp(s * model.log_pmf(k + 1)) / denom
+            return math.exp(s * (log_end + (k + 1 - n) * log_q)) / denom
+
+        return bound
 
     def _check(self, model: "PmfModel", ks: np.ndarray) -> None:
-        """Verify p_{k+1} / p_k <= q at every k in ``ks`` (each >= k0). The
+        """Verify p_k / p_{k-1} <= q at every k in ``ks`` (each > k0). The
         slack never admits a mass above the one before it."""
-        ratios = model.log_pmf_array(ks + 1) - model.log_pmf_array(ks)
+        ratios = model.log_pmf_array(ks) - model.log_pmf_array(ks - 1)
         bad = np.nonzero(ratios > min(math.log(self.q) + _SPOT_CHECK_SLACK, 0.0))[0]
         if bad.size:
-            k = int(ks[bad[0]])
+            k = int(ks[bad[0]]) - 1
             raise ModelError(
                 f"ratio tail certificate violated at k={k}: "
                 f"log ratio {float(ratios[bad[0]]):.6g} exceeds log q = {math.log(self.q):.6g}"
@@ -139,28 +177,37 @@ def json_int(value, name: str) -> int:
     return int(value)
 
 
-# The documented spelling of each tail kind, mapped to the one ``to_dict``
-# writes; both are read.
-_TAIL_KINDS = {"power_law": "powerlaw", "geometric_ratio": "ratio"}
+# The documented spelling of each tail kind and the one ``to_dict`` writes;
+# both are read.
+_TAIL_KINDS = {
+    "power_law": PowerLawTail, "powerlaw": PowerLawTail,
+    "geometric_ratio": GeometricRatioTail, "ratio": GeometricRatioTail,
+}
 
 
 def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
     """Inverse of ``to_dict`` on either tail certificate shape.
 
     Reads ``{"kind": "power_law" | "geometric_ratio", ...}`` and, as an
-    alias, ``{"type": "powerlaw" | "ratio", ...}``.
+    alias, ``{"type": "powerlaw" | "ratio", ...}``, with the fields of the
+    shape named. A missing or malformed field is a ``ModelError``.
     """
     if not isinstance(payload, dict):
         raise ModelError(f"a tail certificate must be a JSON object, got {payload!r}")
     kind = payload.get("kind", payload.get("type"))
-    kind = _TAIL_KINDS.get(kind, kind)
-    if kind == "powerlaw":
-        return PowerLawTail(json_int(payload["k0"], "tail k0"), float(payload["c0"]), float(payload["alpha"]))
-    if kind == "ratio":
-        return GeometricRatioTail(k0=json_int(payload["k0"], "tail k0"), q=float(payload["q"]))
-    raise ModelError(
-        f"unknown tail certificate kind {kind!r}; expected 'power_law' or 'geometric_ratio'"
-    )
+    shape = _TAIL_KINDS.get(kind) if isinstance(kind, str) else None
+    if shape is None:
+        raise ModelError(
+            f"unknown tail certificate kind {kind!r}; expected 'power_law' or 'geometric_ratio'"
+        )
+    try:
+        k0, *params = (payload[field.name] for field in fields(shape))
+        k0, params = json_int(k0, "tail k0"), [float(value) for value in params]
+    except KeyError as exc:
+        raise ModelError(f"{shape.kind} tail certificate is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{shape.kind} tail certificate has a malformed value: {exc}") from None
+    return shape(k0, *params)
 
 
 class _InverseCdf:
@@ -568,21 +615,16 @@ class Tabulated(PmfModel):
         # table or not; then the unlisted mass must fit under its cap.
         n = self.masses.size
         tail = self.tail
-        if isinstance(tail, PowerLawTail):
-            tail._check(self, np.arange(tail.k0 + 1, n + 1, dtype=np.int64))
-            cap = tail.c0 * n ** (1.0 - tail.alpha) / (tail.alpha - 1.0)
-        else:
-            tail._check(self, np.arange(tail.k0, n, dtype=np.int64))
-            cap = float(self.masses[-1]) * tail.q / (1.0 - tail.q)
+        tail._check(self, np.arange(tail.k0 + 1, n + 1, dtype=np.int64))
         if self.is_complete():
             return
         # Either shape leaves the masses n+1..k0 unbounded when k0 > n.
         if tail.k0 > n:
-            kind = "power-law" if isinstance(tail, PowerLawTail) else "ratio"
             raise ModelError(
-                f"{kind} tail certificate starts at k0={tail.k0}, beyond the "
+                f"{tail.kind} tail certificate starts at k0={tail.k0}, beyond the "
                 f"{n} listed masses; it cannot bound the unlisted mass"
             )
+        cap = tail.remainder(self, 1.0)(n)
         if cap < self.missing - 1e-15:
             raise ModelError(
                 f"tail certificate caps the unlisted mass at {cap:.6g} but "

@@ -42,7 +42,6 @@ from entrobound import (
     entropy_interval,
     entropy_upper_coarse,
     power_sum_partial,
-    tail_power_sum_bound,
 )
 from entrobound.summation import indexed_chunk_sum
 
@@ -144,20 +143,57 @@ def test_power_sum_partial_matches_direct_sum(geom_half):
     assert power_sum_partial(geom_half, 0.5, 200) == pytest.approx(direct, rel=1e-14)
 
 
-def test_tail_power_sum_bound_dominates_true_remainder(zeta_two):
-    tail = zeta_two.tail_certificate()
-    for k_from in (10, 100, 1000):
-        bound = tail_power_sum_bound(zeta_two, tail, k_from, 0.75)
-        huge = power_sum_partial(zeta_two, 0.25, 2_000_000)
-        partial = power_sum_partial(zeta_two, 0.25, k_from)
-        true_remainder_lower = huge - partial  # still misses mass past 2e6
-        assert bound >= true_remainder_lower
+def _mp_tail_power_sum(model, k, s):
+    """sum_{j > k} p_j**s from the model's parameters, exact as binary
+    floats, at the working precision. Zeta's tail is a Hurwitz zeta value;
+    ``nsum`` on it is slow and, at s = 0.5, off by 1e-13 relative."""
+    if isinstance(model, Zeta):
+        alpha = mpmath.mpf(model.exponent)
+        return mpmath.zeta(alpha * s, k + 1) / mpmath.zeta(alpha) ** s
+    return mpmath.nsum(lambda j: mpmath.exp(s * _mp_log_mass(model, j)), [k + 1, mpmath.inf])
 
 
-def test_tail_power_sum_bound_requires_convergence(zeta_two):
+def _mp_log_mass(model, j):
+    if isinstance(model, Geometric):
+        p = mpmath.mpf(model.prob)
+        return mpmath.log(p) + (j - 1) * mpmath.log1p(-p)
+    if isinstance(model, Poisson):
+        lam = mpmath.mpf(model.rate)
+        return -lam + (j - 1) * mpmath.log(lam) - mpmath.loggamma(j)
+    size, prob, c = mpmath.mpf(model.size), mpmath.mpf(model.prob), j - 1
+    return (
+        mpmath.loggamma(c + size) - mpmath.loggamma(size) - mpmath.loggamma(c + 1)
+        + size * mpmath.log1p(-prob) + c * mpmath.log(prob)
+    )
+
+
+@pytest.mark.parametrize("s", [1.0, 0.75, 0.5])
+@pytest.mark.parametrize(
+    "model",
+    [Geometric(0.5), Geometric(0.3), Poisson(4.0), NegativeBinomial(3.0, 0.4), Zeta(2.5)],
+    ids=repr,
+)
+def test_tail_remainder_dominates_the_mpmath_tail(model, s):
+    tail = model.tail_certificate()
+    remainder = tail.remainder(model, s)
+    # Geometric's ratio cap holds with equality, so its bound is the tail
+    # itself in real arithmetic and float rounding may land either side;
+    # making the bound hold in floats is ROADMAP Direction 4. Every other
+    # bound here is strict, and is checked with no allowance.
+    allowance = 1e-14 if isinstance(model, Geometric) else 0.0
+    with mpmath.workdps(40):
+        for k in (tail.k0, tail.k0 + 5, 8 * tail.k0 + 60):
+            truth = _mp_tail_power_sum(model, k, s)
+            assert mpmath.mpf(remainder(k)) >= truth * (1 - allowance), (k, remainder(k), truth)
+
+
+def test_powerlaw_remainder_requires_convergence(zeta_two):
     tail = zeta_two.tail_certificate()
     with pytest.raises(AdmissibilityError):
-        tail_power_sum_bound(zeta_two, tail, 100, 0.5)  # alpha*s = 1 diverges
+        tail.remainder(zeta_two, 0.5)  # alpha*s = 1 diverges
+    for s in (0.0, 1.5):
+        with pytest.raises(ValueError, match="power must lie in"):
+            tail.remainder(zeta_two, s)
 
 
 # -- admissibility ------------------------------------------------------------

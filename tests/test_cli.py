@@ -141,6 +141,33 @@ def test_bound_requires_model_or_certificate(capsys):
     assert "either a model spec or --cert" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,fragment",
+    [
+        (["bound", "--n", "100", "--eps", "0.5", "--r", "0.3"], "--cert cannot be combined with --r"),
+        (
+            ["bound", "--n", "100", "--eps", "0.5", "--r", "0.3", "--slack", "0.1", "--target-eps", "0.2"],
+            "combined with --r, --slack, --target-eps",
+        ),
+        (["samplesize", "--eps", "0.5", "--delta", "0.05", "--slack", "0.1"], "combined with --slack"),
+        (["samplesize", "--eps", "0.5", "--delta", "0.05", "--target-eps", "0.2"], "combined with --target-eps"),
+        (["simulate", "geometric:0.5", "--n", "30", "--eps", "0.6", "--r", "0.3"], "combined with --r"),
+        (["bound", "geometric:0.5", "--n", "100", "--eps", "0.5"], "combined with a model spec"),
+        (["samplesize", "geometric:0.5", "--eps", "0.5", "--delta", "0.05"], "combined with a model spec"),
+    ],
+)
+def test_a_saved_certificate_refuses_conflicting_inputs(tmp_path, capsys, args, fragment):
+    # a loaded certificate fixes r and slack and was checked against no model
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", "geometric:0.5", "--out", str(cert_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*args, "--cert", str(cert_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
 def test_bound_huge_radius_is_finite(capsys):
     assert main(["bound", "geometric:0.5", "--n", "1", "--eps", "1e9"]) == EXIT_OK
     assert "bound=0.0" in capsys.readouterr().out
@@ -410,6 +437,28 @@ def test_certify_reads_the_documented_tail_schema(tmp_path, capsys, tail):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "C_r" in captured.out
+
+
+@pytest.mark.parametrize(
+    "tail,fragment",
+    [
+        ({"kind": "ratio", "k0": 1}, "ratio tail certificate is missing key 'q'"),
+        ({"kind": "geometric_ratio", "k0": 1, "q": None}, "ratio tail certificate has a malformed value"),
+        ({"kind": "geometric_ratio", "k0": 1, "q": "x"}, "ratio tail certificate has a malformed value"),
+        ({"kind": "power_law", "c0": 0.6, "alpha": 2.0}, "power-law tail certificate is missing key 'k0'"),
+        ({"kind": "power_law", "k0": None, "c0": 0.6, "alpha": 2.0}, "power-law tail certificate has a malformed"),
+        ({"kind": ["ratio"], "k0": 1, "q": 0.5}, "unknown tail certificate kind"),
+    ],
+)
+def test_certify_names_a_missing_or_malformed_tail_field(tmp_path, capsys, tail, fragment):
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"probs": [0.5, 0.25], "tail": tail}))
+    assert main(["certify", f"tabulated:{table}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+    with pytest.raises(ModelError, match="tail certificate"):
+        entrobound.Tabulated.from_dict({"probs": [0.5, 0.25], "tail": tail})
 
 
 def test_certify_rejects_a_tail_that_starts_past_the_table(tmp_path, capsys):
