@@ -8,10 +8,11 @@ by later bound computations.
 
 Each tail certificate shape carries its own math: ``tail.r_max`` ends the
 admissible orders and ``tail.remainder(model, s)`` bounds the power sum
-past a truncation index. A power-law cap takes that index from a closed
-form driven by its integral bound; a ratio cap takes the smallest index
-whose geometric remainder meets the slack. A complete table needs no
-remainder past its end, so it is certified with or without a tail.
+past a truncation index. On infinite support a power-law cap takes that
+index from a closed form driven by its integral bound; a ratio cap, and
+either cap on a finite table, takes the smallest index whose remainder
+bound meets the slack, never past the table end. A complete table needs
+no remainder past its end, so it is certified with or without a tail.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import GeometricRatioTail, PmfModel, PowerLawTail, json_int
+from .distributions import GeometricRatioTail, PmfModel, PowerLawTail, json_float, json_int
 from .errors import AdmissibilityError, MissingCertificateError, ModelError, ResourceCapError
 from .summation import indexed_chunk_sum
 
@@ -92,9 +93,9 @@ class MomentCertificate:
             raise ModelError(f"a moment certificate must be a JSON object, got {payload!r}")
         try:
             fields = dict(
-                r=float(payload["r"]),
-                C_r=float(payload["C_r"]),
-                slack=float(payload["slack"]),
+                r=json_float(payload["r"], "r"),
+                C_r=json_float(payload["C_r"], "C_r"),
+                slack=json_float(payload["slack"], "slack"),
                 truncation_index=json_int(payload["truncation_index"], "truncation_index"),
                 provenance=str(payload["provenance"]),
             )
@@ -223,14 +224,14 @@ def certify_moment_powerlaw(
 ) -> MomentCertificate:
     """Certify C_r for a model whose tail carries a power-law mass cap.
 
-    The truncation index is the closed form
+    On infinite support the truncation index is the closed form
     k1 = max(k0, ceil((eps * (alpha*(1-r) - 1) / c0) ** (-1 / (alpha*(1-r) - 1))))
-    and C_r is the exact partial sum through k1 plus eps. A complete table
-    is certified as ``certify_moment_ratio`` certifies one, with the
-    power-law remainder bound, so it never sums past its end.
+    and C_r is the exact partial sum through k1 plus eps. A finite table,
+    complete or not, is certified as ``certify_moment_ratio`` certifies
+    one, with the power-law remainder bound, so it never sums past its end.
     """
     tail = _certification_tail(model, tail, PowerLawTail, r, eps)
-    if model.is_complete():
+    if model.max_index() is not None:
         return _certify_on_ladder(model, tail, r, eps, "powerlaw")
     decay = tail.alpha * (1.0 - r) - 1.0
     try:

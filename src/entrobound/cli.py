@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .certify import (
     certify_moment,
     entropy_upper_coarse,
 )
-from .distributions import Geometric, NegativeBinomial, PmfModel, Poisson, Tabulated, Zeta, json_int
+from .distributions import Geometric, NegativeBinomial, PmfModel, Poisson, Tabulated, Zeta, json_float, json_int
 from .errors import (
     AdmissibilityError,
     MissingCertificateError,
@@ -137,6 +138,13 @@ def _resolve_certificate(
     if r is None and target_eps is not None:
         r = select_r(model, eps=slack, target_eps=target_eps)
     return certify_moment(model, r=r, eps=slack)
+
+
+def _check_workers(workers: int) -> None:
+    """Refuse a worker count outside 1 .. the CPUs this process may run on."""
+    limit = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if not 1 <= workers <= limit:
+        raise ValueError(f"--workers must lie in 1..{limit}, the CPUs available, got {workers}")
 
 
 def _describe_choice(value, flag_given: bool) -> str:
@@ -269,6 +277,7 @@ def _emit_reports(reports: list[SimulationReport], fmt: str, out: str | None) ->
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     model = parse_model_spec(args.model)
     config = SimulationConfig(
         model=model,
@@ -296,15 +305,17 @@ def _config_from_dict(payload: dict) -> tuple[SimulationConfig, MomentCertificat
         raise ModelError(f"sweep config entry is missing key {exc}") from None
     model = parse_model_spec(spec)
     try:
+        r, slack, tol = (
+            None if payload.get(k) is None else json_float(payload[k], k) for k in ("r", "slack", "entropy_tol")
+        )
         config = SimulationConfig(
             model=model,
             n=json_int(n, "n"),
             eps=eps,
             replicates=json_int(payload.get("replicates", DEFAULT_REPLICATES), "replicates"),
             seed=json_int(payload.get("seed", 0), "seed"),
-            entropy_tolerance=payload.get("entropy_tol"),
+            entropy_tolerance=tol,
         )
-        r, slack = (None if payload.get(k) is None else float(payload[k]) for k in ("r", "slack"))
     except (TypeError, ValueError) as exc:
         raise ModelError(f"malformed sweep config entry {payload!r}: {exc}") from exc
     # An entry without either key is certified inside the sweep, so a
@@ -316,6 +327,7 @@ def _config_from_dict(payload: dict) -> tuple[SimulationConfig, MomentCertificat
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     try:
         payload = json.loads(Path(args.config).read_text())
     except OSError as exc:

@@ -36,7 +36,7 @@ __all__ = [
     "NegativeBinomial",
     "Zeta",
     "Tabulated",
-    "NORMALIZATION_TOL",
+    "tail_from_dict",
 ]
 
 NORMALIZATION_TOL = 1e-12
@@ -177,6 +177,13 @@ def json_int(value, name: str) -> int:
     return int(value)
 
 
+def json_float(value, name: str) -> float:
+    """A number JSON field; ``float`` would read a boolean as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ModelError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 # The documented spelling of each tail kind and the one ``to_dict`` writes;
 # both are read.
 _TAIL_KINDS = {
@@ -201,8 +208,9 @@ def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
             f"unknown tail certificate kind {kind!r}; expected 'power_law' or 'geometric_ratio'"
         )
     try:
-        k0, *params = (payload[field.name] for field in fields(shape))
-        k0, params = json_int(k0, "tail k0"), [float(value) for value in params]
+        k0, *params = fields(shape)
+        k0 = json_int(payload[k0.name], "tail k0")
+        params = [json_float(payload[field.name], f"tail {field.name}") for field in params]
     except KeyError as exc:
         raise ModelError(f"{shape.kind} tail certificate is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -419,7 +427,7 @@ class PmfModel(abc.ABC):
         return cache.index(u), self._head[cache.offset :]
 
     def _extend_cdf(self) -> None:
-        cache = self._cache
+        cache, head = self._cache, self._head
         have = 0 if cache is None else cache.offset + cache.cdf.size
         cap = self.max_index() if self.max_index() is not None else _CDF_INDEX_CAP
         if have >= cap:
@@ -434,7 +442,8 @@ class PmfModel(abc.ABC):
         base = 0.0 if cache is None else cache.top
         grown = base + np.cumsum(np.exp(self._grow_head(want)[have:want]))
         if base > 0.0 and grown[-1] <= base:
-            # Tail mass fell below float resolution; further growth is futile.
+            # Tail mass fell below float resolution; growth is futile, so drop it.
+            self._head = head
             cache.exhausted = True
             return
         if cache is not None:
@@ -677,7 +686,9 @@ class Tabulated(PmfModel):
         if "probs" not in payload:
             raise ModelError('tabulated JSON must contain a "probs" array')
         tail = tail_from_dict(payload["tail"]) if payload.get("tail") is not None else None
-        return cls(payload["probs"], tail=tail, label=label)
+        probs = payload["probs"]
+        masses = [json_float(p, "probs") for p in probs] if isinstance(probs, list) else probs
+        return cls(masses, tail=tail, label=label)
 
     @classmethod
     def load(cls, path: str | Path) -> "Tabulated":

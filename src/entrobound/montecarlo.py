@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import BernsteinConstants, bernstein_constants, deviation_bound
 from .certify import DEFAULT_SLACK, EntropyInterval, MomentCertificate, certify_moment, entropy_interval
-from .distributions import PmfModel
+from .distributions import PmfModel, json_float
 from .errors import ReportIntegrityError, SweepAborted
 
 __all__ = [
@@ -91,10 +91,7 @@ class SimulationConfig:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         eps = self.eps
         try:
-            if isinstance(eps, (int, float)):
-                eps = (float(eps),)
-            else:
-                eps = tuple(float(e) for e in eps)
+            eps = tuple(json_float(e, "eps") for e in ((eps,) if isinstance(eps, (int, float)) else eps))
         except TypeError:
             raise ValueError(f"deviation radii must be a number or a list, got {eps!r}") from None
         if not eps:
@@ -414,7 +411,6 @@ def sweep(
     configs: list[SimulationConfig],
     certificates: list[MomentCertificate | None] | None = None,
     workers: int = 1,
-    on_report=None,
 ) -> list[SimulationReport]:
     """Run configs in order; each one uses exactly its own seed.
 
@@ -437,8 +433,6 @@ def sweep(
                 partial=reports,
             ) from exc
         reports.append(report)
-        if on_report is not None:
-            on_report(report)
     return reports
 
 

@@ -194,6 +194,22 @@ def test_bound_huge_radius_is_finite(capsys):
             {"r": 0.5, "C_r": 2.5, "slack": 0.0, "truncation_index": 7.9, "provenance": "ratio"},
             "truncation_index must be an integer, got 7.9",
         ),
+        # booleans are not numbers, though float() reads them as 0.0 and 1.0
+        (
+            ["bound", "--n", "100", "--eps", "0.5"],
+            {"r": 0.5, "C_r": True, "slack": 0.0, "truncation_index": 3, "provenance": "ratio"},
+            "C_r must be a number, got True",
+        ),
+        (
+            ["bound", "--n", "100", "--eps", "0.5"],
+            {"r": 0.5, "C_r": 2.0, "slack": False, "truncation_index": 3, "provenance": "ratio"},
+            "slack must be a number, got False",
+        ),
+        (
+            ["samplesize", "--eps", "0.5", "--delta", "0.05"],
+            {"r": True, "C_r": 2.0, "slack": 0.0, "truncation_index": 3, "provenance": "ratio"},
+            "malformed value: r must be a number, got True",
+        ),
     ],
 )
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, payload, fragment):
@@ -380,6 +396,12 @@ def test_sweep_abort_flushes_partial_results(tmp_path, capsys):
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "seed": 3.7}]', "seed must be an integer"),
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "replicates": 300.5}]',
          "replicates must be an integer"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": [true]}]', "eps must be a number, got True"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": true}]', "eps must be a number, got True"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "r": true}]', "r must be a number, got True"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "slack": true}]', "slack must be a number, got True"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "entropy_tol": false}]',
+         "entropy_tol must be a number, got False"),
     ],
 )
 def test_sweep_config_validation(tmp_path, capsys, content, fragment):
@@ -389,6 +411,23 @@ def test_sweep_config_validation(tmp_path, capsys, content, fragment):
     err = capsys.readouterr().err
     assert fragment in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", [0, -1, 3])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_workers_outside_the_available_cpus_are_a_usage_error(tmp_path, capsys, monkeypatch, command, workers):
+    # two CPUs available, so 3 is one past the limit; the check starts no process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps([{"model": "geometric:0.5", "n": 30, "eps": 0.5, "replicates": 300}]))
+    args = {
+        "simulate": ["simulate", "geometric:0.5", "--n", "30", "--eps", "0.5", "--replicates", "300"],
+        "sweep": ["sweep", "--config", str(config)],
+    }[command]
+    assert main([*args, "--workers", str(workers)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --workers must lie in 1..2, the CPUs available, got {workers}\n"
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -448,6 +487,9 @@ def test_certify_reads_the_documented_tail_schema(tmp_path, capsys, tail):
         ({"kind": "power_law", "c0": 0.6, "alpha": 2.0}, "power-law tail certificate is missing key 'k0'"),
         ({"kind": "power_law", "k0": None, "c0": 0.6, "alpha": 2.0}, "power-law tail certificate has a malformed"),
         ({"kind": ["ratio"], "k0": 1, "q": 0.5}, "unknown tail certificate kind"),
+        ({"kind": "geometric_ratio", "k0": 1, "q": True}, "tail q must be a number, got True"),
+        ({"kind": "power_law", "k0": 1, "c0": True, "alpha": 2.0}, "tail c0 must be a number, got True"),
+        ({"kind": "power_law", "k0": 1, "c0": 0.6, "alpha": True}, "tail alpha must be a number, got True"),
     ],
 )
 def test_certify_names_a_missing_or_malformed_tail_field(tmp_path, capsys, tail, fragment):
@@ -459,6 +501,27 @@ def test_certify_names_a_missing_or_malformed_tail_field(tmp_path, capsys, tail,
     assert fragment in err
     with pytest.raises(ModelError, match="tail certificate"):
         entrobound.Tabulated.from_dict({"probs": [0.5, 0.25], "tail": tail})
+
+
+def test_certify_refuses_a_boolean_mass(tmp_path, capsys):
+    # float(True) is 1.0, which made a one-point table
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"probs": [True]}))
+    assert main(["certify", f"tabulated:{table}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "probs must be a number, got True" in err
+
+
+def test_an_unreachable_slack_on_a_power_law_table_names_its_end(tmp_path, capsys):
+    # the closed-form cut used to land past the table end ("mass unknown")
+    table = tmp_path / "t.json"
+    tail = {"kind": "power_law", "k0": 10, "c0": 0.6, "alpha": 2.0}
+    table.write_text(json.dumps({"probs": [0.5**k for k in range(1, 11)], "tail": tail}))
+    assert main(["certify", f"tabulated:{table}", "--slack", "0.1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is unreachable with only 10 listed masses" in err
 
 
 def test_certify_rejects_a_tail_that_starts_past_the_table(tmp_path, capsys):

@@ -455,12 +455,28 @@ def test_certify_then_sample_computes_each_log_mass_once(monkeypatch):
         return original(self, ks)
 
     monkeypatch.setattr(Geometric, "log_pmf_array", counted)
-    model = Geometric(0.5)
-    certify_moment(model)
+    model = Geometric(0.002)
+    certify_moment(model, r=0.05)
+    certified = model._head.size
     model.sample(0, 1000)
-    model._lookup(np.array([np.nextafter(1.0, 0.0)]))  # grows the cache past the head's first size
-    assert model._head.size > 1024
+    model._lookup(np.array([1.0 - 1e-15]))  # grows the cache past the certified head
+    assert model._head.size > certified and not model._cache.exhausted
     assert sum(terms) == model._head.size
+
+
+def test_a_futile_cdf_extension_leaves_the_head_as_it_was():
+    # The last extension finds the tail below float resolution and keeps nothing.
+    model = Geometric(0.003)
+    model._lookup(np.array([np.nextafter(1.0, 0.0)]))
+    assert model._cache.exhausted
+    assert model._head.size == model._cache.offset + model._cache.cdf.size
+    assert not model._head.flags.writeable
+    # A head certification grew first is never shrunk below its size.
+    model = Geometric(0.003)
+    certify_moment(model)
+    certified = model._head.size
+    model._lookup(np.array([np.nextafter(1.0, 0.0)]))
+    assert model._head.size == certified > model._cache.offset + model._cache.cdf.size
 
 
 # -- guided inverse-CDF lookup -------------------------------------------------

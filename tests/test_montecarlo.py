@@ -359,13 +359,6 @@ def test_sweep_abort_carries_partial_results(geom_half):
     assert isinstance(excinfo.value.__cause__, ResourceCapError)
 
 
-def test_sweep_on_report_callback(geom_half):
-    seen = []
-    configs = [SimulationConfig(model=geom_half, n=10, eps=(0.4,), replicates=100, seed=0)]
-    reports = sweep(configs, on_report=seen.append)
-    assert seen == reports
-
-
 # -- serialisation ----------------------------------------------------------------------
 
 
