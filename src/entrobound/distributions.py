@@ -178,8 +178,9 @@ def json_int(value, name: str) -> int:
 
 
 def json_float(value, name: str) -> float:
-    """A number JSON field; ``float`` would read a boolean as 0.0 or 1.0."""
-    if isinstance(value, bool):
+    """A number JSON field; ``float`` would read a boolean as 0.0 or 1.0,
+    and a string as whatever number it spells."""
+    if isinstance(value, (bool, str)):
         raise ModelError(f"{name} must be a number, got {value!r}")
     return float(value)
 

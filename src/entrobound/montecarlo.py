@@ -13,7 +13,11 @@ not depend on scheduling, worker count, or chunk boundaries. Identical
 
 The replicate engine derives those streams a seeding block of replicates
 at a time, replaying SeedSequence and PCG64 seeding in vectorised integer
-arithmetic. It then fills and scores each block in cache-sized tiles,
+arithmetic. It loads each replicate's state by writing the four uint64
+words of PCG64's 128-bit ``state`` and ``inc`` straight into one
+generator, after a round trip through the public ``state`` property has
+confirmed numpy's layout; where it does not, the ``state`` setter loads
+them instead. It then fills and scores each block in cache-sized tiles,
 with one cache lookup per tile. Every stream stays identical to the one
 ``_replicate_rng(seed, i)`` builds, draw for draw, and each replicate's
 mean is taken over its own row, so neither blocks nor tiles change any
@@ -36,7 +40,7 @@ import numpy as np
 from .bounds import BernsteinConstants, bernstein_constants, deviation_bound
 from .certify import DEFAULT_SLACK, EntropyInterval, MomentCertificate, certify_moment, entropy_interval
 from .distributions import PmfModel, json_float
-from .errors import ReportIntegrityError, SweepAborted
+from .errors import ReportIntegrityError, ResourceCapError, SweepAborted
 
 __all__ = [
     "DEFAULT_REPLICATES",
@@ -90,10 +94,14 @@ class SimulationConfig:
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         eps = self.eps
+        malformed = f"eps must be a number or a list of deviation radii, got {eps!r}"
+        # a string is iterable, but its characters are not radii
+        if isinstance(eps, str):
+            raise ValueError(malformed)
         try:
             eps = tuple(json_float(e, "eps") for e in ((eps,) if isinstance(eps, (int, float)) else eps))
         except TypeError:
-            raise ValueError(f"deviation radii must be a number or a list, got {eps!r}") from None
+            raise ValueError(malformed) from None
         if not eps:
             raise ValueError("at least one deviation radius is required")
         if any(not (e > 0 and math.isfinite(e)) for e in eps):
@@ -162,6 +170,12 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _BLOCK_DRAWS = 2**20
 _TILE_DRAWS = 2**15
 
+# Caps on one simulation, checked before anything is allocated: a replicate
+# of _MAX_DRAWS draws keeps its row of uniforms and each lookup temporary
+# at 128 MiB, and _MAX_REPLICATES means take 1 GiB.
+_MAX_DRAWS = 2**24
+_MAX_REPLICATES = 2**27
+
 
 def _seed_words(seed: int) -> list[int]:
     """Little-endian 32-bit words of a seed, as SeedSequence reads an int."""
@@ -213,14 +227,9 @@ def _affine128(x: list[np.ndarray], mult: int, add: list[np.ndarray]) -> list[np
     return out
 
 
-def _to_ints(limbs: list[np.ndarray]) -> list[int]:
-    low = (limbs[0] | (limbs[1] << np.uint64(32))).tolist()
-    high = (limbs[2] | (limbs[3] << np.uint64(32))).tolist()
-    return [(h << 64) | lo for h, lo in zip(high, low)]
-
-
-def _spawn_states(seed: int, indices: np.ndarray) -> tuple[list[int], list[int]]:
-    """PCG64 ``state`` and ``inc`` of ``_replicate_rng(seed, i)`` for each index.
+def _spawn_states(seed: int, indices: np.ndarray) -> np.ndarray:
+    """PCG64 ``state`` and ``inc`` of ``_replicate_rng(seed, i)`` for each index,
+    one row ``[state_lo, state_hi, inc_lo, inc_hi]`` of uint64 words per index.
 
     Replays SeedSequence's entropy mixing over the words of ``seed`` and
     of the spawn key ``(i,)``, its ``generate_state(4, uint64)`` and PCG64's
@@ -259,7 +268,63 @@ def _spawn_states(seed: int, indices: np.ndarray) -> tuple[list[int], list[int]]
     one = [np.ones_like(w[0]), *[np.zeros_like(w[0])] * 3]
     inc = _affine128(init_seq, 2, one)
     state = _affine128(_affine128(init_state, 1, inc), _PCG64_MULT, inc)
-    return _to_ints(state), _to_ints(inc)
+    limbs = state + inc
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(limbs[::2], limbs[1::2])], axis=1)
+
+
+# Four distinct words for the layout check: a swapped pair, or a 128-bit
+# value held as (high, low), reads back as different words.
+_PROBE_WORDS = [0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589ABCDEF, 0x3210765498BADCFE]
+
+
+def _state_ints(words: list[int]) -> dict:
+    """The ``state`` entry of a PCG64 state dict for one row of words."""
+    state_lo, state_hi, inc_lo, inc_hi = words
+    return {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+
+
+def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
+    """A writable uint64 view ``[state_lo, state_hi, inc_lo, inc_hi]`` of the
+    generator's 128-bit ``state`` and ``inc``, or None where numpy's private
+    layout is not that. The view is valid while ``bit_generator`` lives.
+
+    ``ctypes.state_address`` points at numpy's ``pcg64_state``, whose first
+    field points at the ``pcg64_random_t``: two ``pcg128_t``, native
+    ``__uint128_t`` where the compiler has one and a ``{high, low}`` struct
+    elsewhere. A write through the public ``state`` setter read back through
+    the view, and a write through the view read back through the getter,
+    decide between the two before any row relies on the view.
+    """
+    try:
+        import ctypes
+    except ImportError:  # a Python built without _ctypes
+        return None
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    if not address:
+        return None
+    view = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+    loaded = bit_generator.state
+    loaded["state"] = _state_ints(_PROBE_WORDS)
+    bit_generator.state = loaded
+    if view.tolist() != _PROBE_WORDS:
+        return None
+    view[:] = _PROBE_WORDS[::-1]
+    if bit_generator.state["state"] != _state_ints(_PROBE_WORDS[::-1]):
+        return None
+    return view
+
+
+class _StateSetter:
+    """Loads ``view[:] = words`` through the public ``state`` setter, for
+    builds whose PCG64 layout fails the check in ``_state_words``."""
+
+    def __init__(self, bit_generator: np.random.PCG64):
+        self._bit_generator = bit_generator
+        self._loaded = bit_generator.state
+
+    def __setitem__(self, key: slice, words: np.ndarray) -> None:
+        self._loaded["state"] = _state_ints(words.tolist())
+        self._bit_generator.state = self._loaded
 
 
 def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -277,18 +342,19 @@ def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.nda
     tile = max(1, _TILE_DRAWS // max(n, 1))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    loaded = bit_generator.state
+    view = _state_words(bit_generator)
+    if view is None:
+        view = _StateSetter(bit_generator)
     uniforms = np.empty((min(tile, hi - lo), n), dtype=np.float64)
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
-        states = zip(*_spawn_states(seed, np.arange(start, stop)))
+        states = iter(_spawn_states(seed, np.arange(start, stop)))
         for first in range(start, stop, tile):
             block = uniforms[: min(tile, stop - first)]
             # zip takes a row before a state, so the block's states carry on
             # from one tile to the next
-            for row, (state, inc) in zip(block, states):
-                loaded["state"] = {"state": state, "inc": inc}
-                bit_generator.state = loaded
+            for row, words in zip(block, states):
+                view[:] = words
                 generator.random(out=row)
             idx, log_pmf = model._lookup(block)
             out[first - lo : first - lo + len(block)] = np.mean(log_pmf[idx], axis=1)
@@ -304,6 +370,10 @@ def replicate_log_likelihood_means(
     ``seed`` is an integer >= 0; ``workers`` only changes how the work is
     scheduled.
     """
+    if n > _MAX_DRAWS:
+        raise ResourceCapError(f"n = {n} draws per replicate exceeds the cap of {_MAX_DRAWS}")
+    if replicates > _MAX_REPLICATES:
+        raise ResourceCapError(f"replicates = {replicates} exceeds the cap of {_MAX_REPLICATES}")
     if workers <= 1 or replicates < 2 * workers:
         return _means_range(model, n, seed, 0, replicates)
     edges = np.linspace(0, replicates, workers + 1, dtype=int)

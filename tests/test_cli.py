@@ -210,6 +210,17 @@ def test_bound_huge_radius_is_finite(capsys):
             {"r": True, "C_r": 2.0, "slack": 0.0, "truncation_index": 3, "provenance": "ratio"},
             "malformed value: r must be a number, got True",
         ),
+        # neither are strings, though float() reads them as the number they spell
+        (
+            ["bound", "--n", "100", "--eps", "0.5"],
+            {"r": 0.5, "C_r": "2.4142137483611488", "slack": 1e-6, "truncation_index": 43, "provenance": "ratio"},
+            "malformed value: C_r must be a number, got '2.4142137483611488'",
+        ),
+        (
+            ["bound", "--n", "100", "--eps", "0.5"],
+            {"r": "0.5", "C_r": 2.4142137483611488, "slack": 1e-6, "truncation_index": 43, "provenance": "ratio"},
+            "malformed value: r must be a number, got '0.5'",
+        ),
     ],
 )
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, payload, fragment):
@@ -398,6 +409,13 @@ def test_sweep_abort_flushes_partial_results(tmp_path, capsys):
          "replicates must be an integer"),
         ('[{"model": "geometric:0.5", "n": 30, "eps": [true]}]', "eps must be a number, got True"),
         ('[{"model": "geometric:0.5", "n": 30, "eps": true}]', "eps must be a number, got True"),
+        # a string is not a radius, though float() reads "5" and a list reads "12" as "1", "2"
+        ('[{"model": "geometric:0.5", "n": 30, "eps": "12", "replicates": 100}]',
+         "eps must be a number or a list of deviation radii, got '12'"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": "5", "replicates": 100}]',
+         "eps must be a number or a list of deviation radii, got '5'"),
+        ('[{"model": "geometric:0.5", "n": 30, "eps": ["0.1"], "replicates": 100}]',
+         "eps must be a number, got '0.1'"),
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "r": true}]', "r must be a number, got True"),
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "slack": true}]', "slack must be a number, got True"),
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "entropy_tol": false}]',
@@ -453,6 +471,27 @@ def test_exit_code_usage(capsys):
     capsys.readouterr()
     assert main([]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "n,replicates,fragment",
+    [
+        (10**12, 100, "n = 1000000000000 draws per replicate exceeds the cap"),
+        (200, 10**12, "replicates = 1000000000000 exceeds the cap"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_simulation_size_caps_exit_before_allocating(tmp_path, capsys, command, n, replicates, fragment):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps([{"model": "geometric:0.5", "n": n, "eps": 0.5, "replicates": replicates}]))
+    args = {
+        "simulate": ["simulate", "geometric:0.5", "--n", str(n), "--replicates", str(replicates), "--eps", "0.5"],
+        "sweep": ["sweep", "--config", str(config)],
+    }[command]
+    assert main(args) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
 
 
 def test_exit_code_inadmissible(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -124,24 +125,32 @@ def _reference_means(model, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
 def test_spawned_states_match_replicate_streams(seed):
     # spawn keys of 2**32 and beyond are two words of entropy
     indices = np.array([*range(2048), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
-    states, incs = montecarlo._spawn_states(seed, indices)
-    for index, state, inc in zip(indices.tolist(), states, incs):
+    words = montecarlo._spawn_states(seed, indices)
+    assert words.shape == (indices.size, 4) and words.dtype == np.uint64
+    for index, (state_lo, state_hi, inc_lo, inc_hi) in zip(indices.tolist(), words.tolist()):
         expected = montecarlo._replicate_rng(seed, index).bit_generator.state["state"]
+        state, inc = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
         assert (state, inc) == (expected["state"], expected["inc"]), index
 
 
+_ENGINE_MODELS = {
+    "geometric": Geometric(0.3),
+    "poisson": Poisson(3.5),
+    "negbinomial": NegativeBinomial(2.5, 0.4),
+    "zeta": Zeta(2.2),
+    "tabulated": Tabulated([0.4, 0.3, 0.2, 0.1]),
+}
+
+
 @pytest.mark.parametrize(
-    "model",
+    "model,load",
     [
-        Geometric(0.3),
-        Poisson(3.5),
-        NegativeBinomial(2.5, 0.4),
-        Zeta(2.2),
-        Tabulated([0.4, 0.3, 0.2, 0.1]),
+        pytest.param(model, load, id=name if load == "in-place" else f"{name}-{load}")
+        for load in ("in-place", "setter")
+        for name, model in _ENGINE_MODELS.items()
     ],
-    ids=["geometric", "poisson", "negbinomial", "zeta", "tabulated"],
 )
-def test_engine_matches_reference_loop(monkeypatch, model):
+def test_engine_matches_reference_loop(monkeypatch, model, load):
     # 100-draw blocks: seven replicates of 13 draws per block, so 40
     # replicates make five full blocks and a partial one; a replicate of
     # 150 draws is a block of its own. 30-draw tiles hold two replicates
@@ -149,6 +158,9 @@ def test_engine_matches_reference_loop(monkeypatch, model):
     # a 200-draw tile is larger than its block; a replicate of 150 draws
     # is a tile of its own
     monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 100)
+    if load == "setter":
+        # the path of builds whose PCG64 layout fails the check
+        monkeypatch.setattr(montecarlo, "_state_words", lambda bit_generator: None)
     for tile in (30, 200):
         monkeypatch.setattr(montecarlo, "_TILE_DRAWS", tile)
         for n in (13, 150):
@@ -156,6 +168,57 @@ def test_engine_matches_reference_loop(monkeypatch, model):
                 engine = montecarlo._means_range(model, n, seed, 3, 43)
                 expected = _reference_means(model, n, seed, 3, 43)
                 assert np.array_equal(engine, expected), (tile, n, seed)
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and sys.maxsize > 2**32),
+    reason="numpy's PCG64 holds its 128-bit words as __uint128_t on 64-bit Linux builds",
+)
+def test_state_layout_check_passes_where_pcg128_is_native():
+    # a check that quietly failed here would only slow the engine down
+    bit_generator = np.random.PCG64(0)
+    view = montecarlo._state_words(bit_generator)
+    assert view is not None
+    expected = montecarlo._replicate_rng(3, 11).bit_generator.state
+    view[:] = montecarlo._spawn_states(3, np.array([11]))[0]
+    assert bit_generator.state == expected
+
+
+def test_engine_checks_the_layout_once_and_leaves_no_buffered_word(monkeypatch):
+    generators = []
+
+    def recording(bit_generator):
+        generators.append(bit_generator)
+        return state_words(bit_generator)
+
+    state_words = montecarlo._state_words
+    monkeypatch.setattr(montecarlo, "_state_words", recording)
+    # 100-draw blocks of 13-draw replicates: six seeding blocks in one call
+    monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 100)
+    montecarlo._means_range(Geometric(0.5), 13, 0, 0, 40)
+    assert len(generators) == 1
+    # as after the setter, which loads has_uint32 = 0 with every state
+    assert generators[0].state["has_uint32"] == 0
+
+
+@pytest.mark.parametrize(
+    "n,replicates,fragment",
+    [
+        (10**12, 100, "n = 1000000000000 draws per replicate exceeds the cap of 16777216"),
+        (montecarlo._MAX_DRAWS + 1, 100, "n = 16777217 draws per replicate exceeds the cap of 16777216"),
+        (200, 10**12, "replicates = 1000000000000 exceeds the cap of 134217728"),
+        (200, montecarlo._MAX_REPLICATES + 1, "replicates = 134217729 exceeds the cap of 134217728"),
+    ],
+)
+def test_engine_caps_trip_before_any_allocation(geom_half, n, replicates, fragment):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=fragment):
+            replicate_log_likelihood_means(geom_half, n, replicates, seed=0, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_engine_memory_stays_tile_sized():
