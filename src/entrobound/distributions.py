@@ -21,8 +21,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.special import zeta as _riemann_zeta
 
 from .errors import AdmissibilityError, MissingCertificateError, ModelError, ResourceCapError
 from .summation import CHUNK, compensated_sum
@@ -49,6 +47,15 @@ _CDF_INDEX_CAP = 2**27
 # Absolute slack, on the log scale, granted when spot-checking certificate
 # inequalities that the model satisfies with equality up to rounding.
 _SPOT_CHECK_SLACK = 1e-9
+
+
+def _special():
+    """``scipy.special``, imported on first use: only the Poisson, negative
+    binomial and zeta models need it, and the import costs more CPU than
+    certifying a light-tailed model."""
+    import scipy.special
+
+    return scipy.special
 
 
 class _TailCertificate:
@@ -253,21 +260,30 @@ class _InverseCdf:
         """Cumulative mass of the last stored outcome, 0.0 if none is stored."""
         return float(self.cdf[-1]) if self.cdf.size else 0.0
 
-    def index(self, u: np.ndarray) -> np.ndarray:
+    def index(self, u: np.ndarray, work: _LookupBuffers | None = None) -> np.ndarray:
         """``np.searchsorted(cdf, u, side="right")`` clamped to ``size - 1``,
-        for uniforms ``u`` in [0, 1) of any shape. This is a position in
-        the stored masses; the outcome drawn is ``offset + 1`` plus it."""
+        for uniforms ``u`` in [0, 1) of any shape, written into ``work`` or
+        into fresh buffers. This is a position in the stored masses; the
+        outcome drawn is ``offset + 1`` plus it."""
         if self._guide is None:
             self._guide = self._build_guide()
         lo, thresh = self._guide
-        bucket = (u * thresh.size).astype(np.intp)
-        t = thresh[bucket]
-        idx = lo[bucket]
-        idx += u >= t
-        crowded = np.isnan(t)
-        if crowded.any():
-            found = np.searchsorted(self.cdf, u[crowded], side="right")
-            idx[crowded] = np.minimum(found, self.cdf.size - 1)
+        if work is None:
+            work = _LookupBuffers(u.size)
+        bucket, values, idx, mask = work.views(u.shape)
+        np.multiply(u, thresh.size, out=values)
+        np.copyto(bucket, values, casting="unsafe")
+        # Every bucket is in range, so mode="clip" never clips: u < 1 and m
+        # is a power of two, so u * m is exact and below m.
+        np.take(thresh, bucket, out=values, mode="clip")
+        np.take(lo, bucket, out=idx, mode="clip")
+        np.greater_equal(u, values, out=mask)
+        idx += mask
+        np.isnan(values, out=mask)
+        crowded = np.flatnonzero(mask)
+        if crowded.size:
+            found = np.searchsorted(self.cdf, u.reshape(-1)[crowded], side="right")
+            idx.reshape(-1)[crowded] = np.minimum(found, self.cdf.size - 1)
         return idx
 
     def _build_guide(self) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +304,38 @@ class _InverseCdf:
         thresh[points > 1] = np.nan  # marks the buckets that need the binary search
         # Where every answer is at least the last index, the clamp is the answer.
         thresh[lo >= last] = np.inf
-        return np.minimum(lo, last), thresh
+        return np.minimum(lo, last).astype(np.intp, copy=False), thresh
+
+
+class _LookupBuffers:
+    """The scratch arrays of inverse-CDF lookups of up to ``size`` uniforms:
+    the guide bucket, a float buffer, the index and a bool mask. The float
+    buffer holds u * m, then the guide's thresholds, then, once ``index``
+    has returned, the caller's scores. A caller that looks up tile after
+    tile passes one of these to every ``_lookup``; what a lookup returns
+    is a view into it, valid until the next lookup."""
+
+    def __init__(self, size: int) -> None:
+        self.bucket = np.empty(size, dtype=np.intp)
+        self.values = np.empty(size, dtype=np.float64)
+        self.idx = np.empty(size, dtype=np.intp)
+        self.mask = np.empty(size, dtype=np.bool_)
+
+    def views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """The bucket, float, index and mask buffers, as arrays of ``shape``."""
+        size = math.prod(shape)
+        return tuple(a[:size].reshape(shape) for a in (self.bucket, self.values, self.idx, self.mask))
+
+    def scores(self, log_pmf: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``log_pmf[idx]`` in the float buffer, for what ``_lookup`` returned.
+        Every index is in range, so mode="clip" never clips: the guide's index
+        is at most the last stored position, and the head covers the cache."""
+        out = self.values[: idx.size].reshape(idx.shape)
+        return np.take(log_pmf, idx, out=out, mode="clip")
+
+
+def _cap_message(cap: int) -> str:
+    return f"inverse-CDF cache would exceed {cap} entries; the requested draw lies too deep in the tail"
 
 
 class PmfModel(abc.ABC):
@@ -414,18 +461,41 @@ class PmfModel(abc.ABC):
         idx, _ = self._lookup(u)
         return (idx + self._cache.offset + 1).astype(np.int64)
 
-    def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _tail_mass_floor(self, k: int) -> float:
+        """A certified lower bound on the mass of the outcomes past ``k``.
+
+        A model that gives a positive one must also keep every doubling
+        of its inverse-CDF cache up to ``k`` from being futile while that
+        mass exceeds ``k * 2**-52``, so that ``_lookup`` refuses a draw
+        exactly where growing the cache would have reached the cap.
+        """
+        return 0.0
+
+    def _lookup(
+        self, u: np.ndarray, work: _LookupBuffers | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the uniforms ``u`` (in [0, 1), any shape) in the stored
-        masses, and the head viewed from there: position i is outcome ``_cache.offset + 1 + i``."""
+        masses, and the head viewed from there: position i is outcome
+        ``_cache.offset + 1 + i``. The positions are written into ``work``,
+        or into fresh buffers when none is given."""
         target = float(u.max()) if u.size else 0.0
         cache = self._cache
-        while cache is None or (cache.top <= target and not cache.exhausted):
-            self._extend_cdf()
-            cache = self._cache
+        if cache is None or (cache.top <= target and not cache.exhausted):
+            # Refuse at once when more mass than 1 - target lies past the
+            # cap, by more than the rounding of a float running sum of that
+            # many masses: even a cache at the cap would end below the draw,
+            # so growing would end in this error, as ``_tail_mass_floor``
+            # keeps every growth on the way from being futile.
+            cap = _CDF_INDEX_CAP
+            if 1.0 - target < self._tail_mass_floor(cap) - cap * 2.0**-52:
+                raise ResourceCapError(_cap_message(cap))
+            while cache is None or (cache.top <= target and not cache.exhausted):
+                self._extend_cdf()
+                cache = self._cache
         # A draw can only land past the cached mass when the remaining tail
         # is below float resolution; the index folds it onto the last
         # cached outcome.
-        return cache.index(u), self._head[cache.offset :]
+        return cache.index(u, work), self._head[cache.offset :]
 
     def _extend_cdf(self) -> None:
         cache, head = self._cache, self._head
@@ -435,10 +505,7 @@ class PmfModel(abc.ABC):
             if self.max_index() is not None:
                 cache.exhausted = True
                 return
-            raise ResourceCapError(
-                f"inverse-CDF cache would exceed {cap} entries; the requested draw "
-                "lies too deep in the tail"
-            )
+            raise ResourceCapError(_cap_message(cap))
         want = min(cap, max(1024, 2 * have))
         base = 0.0 if cache is None else cache.top
         grown = base + np.cumsum(np.exp(self._grow_head(want)[have:want]))
@@ -472,7 +539,7 @@ class Poisson(PmfModel):
 
     def log_pmf_array(self, ks: np.ndarray) -> np.ndarray:
         counts = self._check_indices(ks).astype(np.float64) - 1.0
-        return -self.rate + counts * math.log(self.rate) - gammaln(counts + 1.0)
+        return -self.rate + counts * math.log(self.rate) - _special().gammaln(counts + 1.0)
 
     def tail_certificate(self) -> GeometricRatioTail:
         # Successive masses shrink by rate/k, which is at most one half for
@@ -529,6 +596,7 @@ class NegativeBinomial(PmfModel):
 
     def log_pmf_array(self, ks: np.ndarray) -> np.ndarray:
         counts = self._check_indices(ks).astype(np.float64) - 1.0
+        gammaln = _special().gammaln
         return (
             gammaln(counts + self.size)
             - gammaln(self.size)
@@ -564,7 +632,7 @@ class Zeta(PmfModel):
             raise ModelError(f"zeta exponent must exceed 1, got {exponent!r}")
         super().__init__()
         self.exponent = float(exponent)
-        self._zeta_value = float(_riemann_zeta(self.exponent))
+        self._zeta_value = float(_special().zeta(self.exponent))
 
     def _params(self) -> tuple:
         return (self.exponent,)
@@ -578,6 +646,16 @@ class Zeta(PmfModel):
 
     def tail_certificate(self) -> PowerLawTail:
         return PowerLawTail(k0=1, c0=1.0 / self._zeta_value, alpha=self.exponent)
+
+    def _tail_mass_floor(self, k: int) -> float:
+        # Integral test: sum_{j > k} j**(-a) >= int_{k+1}^inf x**(-a) dx.
+        # A doubling (h, 2h] with 2h <= k adds at least (a - 1) / 2 of the
+        # mass past k. While that mass exceeds k * 2**-52, a doubling adds
+        # over (a - 1) * k * 2**-53, far above half an ulp of any cumulative
+        # mass, which is below 1 and below (1 + ln k) / zeta(a), itself
+        # below (1 + ln k) * (a - 1): no growth up to the cap is futile.
+        a = self.exponent
+        return (k + 1.0) ** (1.0 - a) / ((a - 1.0) * self._zeta_value)
 
 
 class Tabulated(PmfModel):
@@ -674,13 +752,15 @@ class Tabulated(PmfModel):
     def is_complete(self) -> bool:
         return self.missing <= NORMALIZATION_TOL
 
-    def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _lookup(
+        self, u: np.ndarray, work: _LookupBuffers | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         if not self.is_complete():
             raise ModelError(
                 f"cannot sample tail: {self.missing:.6g} of the mass is unlisted and "
                 "a certificate only bounds it"
             )
-        return super()._lookup(u)
+        return super()._lookup(u, work)
 
     @classmethod
     def from_dict(cls, payload: dict, label: str | None = None) -> "Tabulated":

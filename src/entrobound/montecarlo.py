@@ -12,16 +12,19 @@ not depend on scheduling, worker count, or chunk boundaries. Identical
 (config, certificate) inputs give bit-identical reports.
 
 The replicate engine derives those streams a seeding block of replicates
-at a time, replaying SeedSequence and PCG64 seeding in vectorised integer
-arithmetic. It loads each replicate's state by writing the four uint64
-words of PCG64's 128-bit ``state`` and ``inc`` straight into one
-generator, after a round trip through the public ``state`` property has
-confirmed numpy's layout; where it does not, the ``state`` setter loads
-them instead. It then fills and scores each block in cache-sized tiles,
-with one cache lookup per tile. Every stream stays identical to the one
-``_replicate_rng(seed, i)`` builds, draw for draw, and each replicate's
-mean is taken over its own row, so neither blocks nor tiles change any
-report.
+at a time, replaying SeedSequence and PCG64 seeding: the seed's words are
+mixed once on Python ints, and the spawn keys, the output words and
+PCG64's 128-bit seeding step run on uint32 and uint64 arrays, the 128-bit
+products on 64-bit (high, low) halves. It loads each replicate's state by
+writing the four uint64 words of PCG64's ``state`` and ``inc`` straight
+into one generator, once a round trip through the public ``state``
+property, made once per process, has confirmed numpy's layout; where it
+does not, the ``state`` setter loads them instead. It then fills and
+scores each block in cache-sized tiles, with one cache lookup per tile,
+into buffers allocated once per call and reused by every tile. Every
+stream stays identical to the one ``_replicate_rng(seed, i)`` builds, draw
+for draw, and each replicate's mean is taken over its own row, as
+``np.mean`` takes it, so neither blocks nor tiles change any report.
 """
 
 from __future__ import annotations
@@ -32,14 +35,13 @@ import json
 import math
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .bounds import BernsteinConstants, bernstein_constants, deviation_bound
 from .certify import DEFAULT_SLACK, EntropyInterval, MomentCertificate, certify_moment, entropy_interval
-from .distributions import PmfModel, json_float
+from .distributions import PmfModel, _LookupBuffers, json_float
 from .errors import ReportIntegrityError, ResourceCapError, SweepAborted
 
 __all__ = [
@@ -153,7 +155,8 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
 # its PCG64 (the default 128-bit LCG multiplier). _spawn_states replays
-# both in uint32 arithmetic, one replicate per array element.
+# both, on Python ints for the seed and on uint32 and uint64 arrays, one
+# replicate per column, for the spawn keys.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -164,14 +167,14 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # The replicate engine derives generator states for a seeding block of
 # about _BLOCK_DRAWS draws at once, which spreads the fixed cost of each
 # vectorised seeding step, and fills and scores each block a tile of about
-# _TILE_DRAWS draws at a time, so the uniforms and the lookup's temporaries
+# _TILE_DRAWS draws at a time, so the uniforms and the lookup's buffers
 # (256 KiB each) stay in a core's L2 cache. Blocks and tiles hold whole
 # replicates: a replicate longer than either is one of its own.
 _BLOCK_DRAWS = 2**20
 _TILE_DRAWS = 2**15
 
 # Caps on one simulation, checked before anything is allocated: a replicate
-# of _MAX_DRAWS draws keeps its row of uniforms and each lookup temporary
+# of _MAX_DRAWS draws keeps its row of uniforms and each lookup buffer
 # at 128 MiB, and _MAX_REPLICATES means take 1 GiB.
 _MAX_DRAWS = 2**24
 _MAX_REPLICATES = 2**27
@@ -189,87 +192,115 @@ def _seed_words(seed: int) -> list[int]:
     return words
 
 
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's hashmix step: each call scrambles a uint32 array and
-    advances the shared multiplier, starting from ``hash_const``."""
+class _Hasher:
+    """SeedSequence's hashmix, on Python ints for the seed's words and on
+    uint32 arrays, one row per hash constant, for the spawn keys."""
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
+    def __init__(self, hash_const: int, mult: int):
+        self._hash_const, self._mult = hash_const, mult
 
-    return hashmix
+    def _steps(self, count: int) -> list[tuple[int, int]]:
+        """The hash constant before and after each of the next ``count`` steps."""
+        steps = []
+        for _ in range(count):
+            before = self._hash_const
+            self._hash_const = before * self._mult & _MASK32
+            steps.append((before, self._hash_const))
+        return steps
+
+    def word(self, value: int) -> int:
+        ((before, after),) = self._steps(1)
+        value = (value ^ before) * after & _MASK32
+        return value ^ value >> 16
+
+    def rows(self, values: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` steps as one (count, R) uint32 array, step j
+        on row j of ``values``, which is (count, R) or a broadcast (R,)."""
+        steps = np.array(self._steps(count), dtype=np.uint32)
+        mixed = values ^ steps[:, :1]
+        mixed *= steps[:, 1:]
+        mixed ^= mixed >> np.uint32(16)
+        return mixed
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
+def _mix_word(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
 
 
-def _affine128(x: list[np.ndarray], mult: int, add: list[np.ndarray]) -> list[np.ndarray]:
-    """(x * mult + add) mod 2**128 on little-endian 32-bit limbs held in
-    uint64 arrays; ``mult`` is a Python int."""
-    m = [(mult >> (32 * k)) & _MASK32 for k in range(4)]
-    cols = [a.copy() for a in add]
-    for i in range(4):
-        for j in range(4 - i):
-            product = x[i] * np.uint64(m[j])
-            cols[i + j] += product & np.uint64(_MASK32)
-            if i + j < 3:
-                cols[i + j + 1] += product >> np.uint64(32)
-    out, carry = [], np.uint64(0)
-    for col in cols:
-        col = col + carry
-        out.append(col & np.uint64(_MASK32))
-        carry = col >> np.uint64(32)
-    return out
+def _absorb(pool: np.ndarray, word: np.ndarray, hasher: _Hasher) -> np.ndarray:
+    """Mix one spawn-key word per index into each of the four pool words:
+    ``pool`` is (4, 1) or (4, R) uint32 and ``word`` is (R,) uint32."""
+    hashed = hasher.rows(word, _POOL_SIZE)
+    mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * hashed
+    mixed ^= mixed >> np.uint32(16)
+    return mixed
+
+
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhi64(x: np.ndarray, c: int) -> np.ndarray:
+    """High 64 bits of ``x * c`` for a uint64 array ``x`` and a 64-bit int
+    ``c``, from four 32x32-bit partial products."""
+    x0, x1 = x & _LOW32, x >> _SHIFT32
+    c0, c1 = np.uint64(c & _MASK32), np.uint64(c >> 32)
+    low, cross, other = x0 * c0, x0 * c1, x1 * c0
+    carry = (low >> _SHIFT32) + (cross & _LOW32) + (other & _LOW32)
+    return x1 * c1 + (cross >> _SHIFT32) + (other >> _SHIFT32) + (carry >> _SHIFT32)
 
 
 def _spawn_states(seed: int, indices: np.ndarray) -> np.ndarray:
     """PCG64 ``state`` and ``inc`` of ``_replicate_rng(seed, i)`` for each index,
     one row ``[state_lo, state_hi, inc_lo, inc_hi]`` of uint64 words per index.
 
-    Replays SeedSequence's entropy mixing over the words of ``seed`` and
-    of the spawn key ``(i,)``, its ``generate_state(4, uint64)`` and PCG64's
-    seeding step, vectorised over the indices.
+    Replays SeedSequence's entropy mixing, its ``generate_state(4, uint64)``
+    and PCG64's seeding step. The seed's words, the same for every index,
+    are mixed once on Python ints; the spawn key ``(i,)`` and everything
+    after it run on arrays, one column per index.
     """
     words = _seed_words(seed)
     # A spawn key pads the run entropy to the pool size.
     words += [0] * (_POOL_SIZE - len(words))
-    run = [np.full(1, w, dtype=np.uint32) for w in words]
-    indices = np.asarray(indices, dtype=np.uint64)
-    low = (indices & np.uint64(_MASK32)).astype(np.uint32)
-    high = (indices >> np.uint64(32)).astype(np.uint32)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def absorb(pool: list[np.ndarray], word: np.ndarray) -> list[np.ndarray]:
-        return [_mix(p, hashmix(word)) for p in pool]
-
-    pool = [hashmix(w) for w in run[:_POOL_SIZE]]
+    hasher = _Hasher(_INIT_A, _MULT_A)
+    pool = [hasher.word(w) for w in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in run[_POOL_SIZE:]:
-        pool = absorb(pool, word)
-    pool = absorb(pool, low)
-    if high.any():
-        # Indices of 2**32 and beyond carry a second spawn-key word.
-        pool = [np.where(high != 0, p, q) for p, q in zip(absorb(pool, high), pool)]
+                pool[dst] = _mix_word(pool[dst], hasher.word(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        pool = [_mix_word(p, hasher.word(word)) for p in pool]
 
-    output = _hasher(_INIT_B, _MULT_B)
-    w = [output(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    # generate_state(4, uint64) gives the seed and the increment as uint64
-    # pairs (high, low), each uint64 made of two little-endian uint32 words.
-    init_state = [w[2], w[3], w[0], w[1]]
-    init_seq = [w[6], w[7], w[4], w[5]]
-    one = [np.ones_like(w[0]), *[np.zeros_like(w[0])] * 3]
-    inc = _affine128(init_seq, 2, one)
-    state = _affine128(_affine128(init_state, 1, inc), _PCG64_MULT, inc)
-    limbs = state + inc
-    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(limbs[::2], limbs[1::2])], axis=1)
+    indices = np.asarray(indices, dtype=np.uint64)
+    mixed = _absorb(np.array(pool, dtype=np.uint32)[:, None], indices.astype(np.uint32), hasher)
+    high = np.flatnonzero(indices >> _SHIFT32)
+    if high.size:
+        # Indices of 2**32 and beyond carry a second spawn-key word.
+        second = (indices[high] >> _SHIFT32).astype(np.uint32)
+        mixed[:, high] = _absorb(mixed[:, high], second, hasher)
+
+    # generate_state(4, uint64) cycles through the pool twice; each uint64
+    # is two little-endian uint32 words, giving the seed and the increment
+    # as (high, low) pairs.
+    w = _Hasher(_INIT_B, _MULT_B).rows(mixed[[0, 1, 2, 3, 0, 1, 2, 3]], 8).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = w[0::2] | w[1::2] << _SHIFT32
+    # PCG64 seeding: inc = seq << 1 | 1, state = (inc + seed) * MULT + inc,
+    # mod 2**128 on (high, low) halves; uint64 arithmetic wraps mod 2**64.
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    sum_lo = inc_lo + seed_lo
+    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
+    mult_lo, mult_hi = _PCG64_MULT & (2**64 - 1), _PCG64_MULT >> 64
+    state_lo = sum_lo * np.uint64(mult_lo) + inc_lo
+    state_hi = (
+        _mulhi64(sum_lo, mult_lo)
+        + sum_lo * np.uint64(mult_hi)
+        + sum_hi * np.uint64(mult_lo)
+        + inc_hi
+        + (state_lo < inc_lo)
+    )
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
 
 
 # Four distinct words for the layout check: a swapped pair, or a 128-bit
@@ -283,6 +314,12 @@ def _state_ints(words: list[int]) -> dict:
     return {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
 
 
+# The verdict of the layout check in _state_words, None until the first
+# generator of the process is checked: the layout is that of numpy's build,
+# the same for every generator.
+_layout_ok: bool | None = None
+
+
 def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
     """A writable uint64 view ``[state_lo, state_hi, inc_lo, inc_hi]`` of the
     generator's 128-bit ``state`` and ``inc``, or None where numpy's private
@@ -291,10 +328,10 @@ def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
     ``ctypes.state_address`` points at numpy's ``pcg64_state``, whose first
     field points at the ``pcg64_random_t``: two ``pcg128_t``, native
     ``__uint128_t`` where the compiler has one and a ``{high, low}`` struct
-    elsewhere. A write through the public ``state`` setter read back through
-    the view, and a write through the view read back through the getter,
-    decide between the two before any row relies on the view.
+    elsewhere. ``_round_trips`` decides between the two once per process,
+    before any row relies on a view.
     """
+    global _layout_ok
     try:
         import ctypes
     except ImportError:  # a Python built without _ctypes
@@ -303,15 +340,21 @@ def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
     if not address:
         return None
     view = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+    if _layout_ok is None:
+        _layout_ok = _round_trips(bit_generator, view)
+    return view if _layout_ok else None
+
+
+def _round_trips(bit_generator: np.random.PCG64, view: np.ndarray) -> bool:
+    """Whether a write through the public ``state`` setter reads back
+    through ``view``, and a write through ``view`` through the getter."""
     loaded = bit_generator.state
     loaded["state"] = _state_ints(_PROBE_WORDS)
     bit_generator.state = loaded
     if view.tolist() != _PROBE_WORDS:
-        return None
+        return False
     view[:] = _PROBE_WORDS[::-1]
-    if bit_generator.state["state"] != _state_ints(_PROBE_WORDS[::-1]):
-        return None
-    return view
+    return bit_generator.state["state"] == _state_ints(_PROBE_WORDS[::-1])
 
 
 class _StateSetter:
@@ -331,21 +374,23 @@ def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.nda
     """Mean log-likelihood of replicates lo..hi-1.
 
     Generator states are derived a seeding block at a time, and each
-    block is filled, looked up and averaged a scoring tile at a time, so
-    the uniforms and the lookup's temporaries stay cache-sized. Each row
-    of a tile is filled from one generator reloaded with that replicate's
-    ``_replicate_rng`` state, so the uniforms, and hence the means, are
-    exactly those of drawing each replicate on its own.
+    block is filled, looked up and averaged a scoring tile at a time, in
+    tile-sized buffers allocated once per call, so they stay in cache and
+    no tile allocates. Each row of a tile is filled from one
+    generator reloaded with that replicate's ``_replicate_rng`` state, so
+    the uniforms, and hence the means, are exactly those of drawing each
+    replicate on its own.
     """
     out = np.empty(hi - lo, dtype=np.float64)
-    rows = max(1, _BLOCK_DRAWS // max(n, 1))
-    tile = max(1, _TILE_DRAWS // max(n, 1))
+    rows = max(1, _BLOCK_DRAWS // n)
+    tile = max(1, _TILE_DRAWS // n)
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     view = _state_words(bit_generator)
     if view is None:
         view = _StateSetter(bit_generator)
     uniforms = np.empty((min(tile, hi - lo), n), dtype=np.float64)
+    work = _LookupBuffers(uniforms.size)
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
         states = iter(_spawn_states(seed, np.arange(start, stop)))
@@ -356,8 +401,12 @@ def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.nda
             for row, words in zip(block, states):
                 view[:] = words
                 generator.random(out=row)
-            idx, log_pmf = model._lookup(block)
-            out[first - lo : first - lo + len(block)] = np.mean(log_pmf[idx], axis=1)
+            idx, log_pmf = model._lookup(block, work)
+            scores = work.scores(log_pmf, idx)
+            # np.mean's own steps, into the output
+            means = out[first - lo : first - lo + len(block)]
+            np.add.reduce(scores, axis=1, out=means)
+            np.divide(means, n, out=means)
     return out
 
 
@@ -370,12 +419,18 @@ def replicate_log_likelihood_means(
     ``seed`` is an integer >= 0; ``workers`` only changes how the work is
     scheduled.
     """
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not (isinstance(replicates, int) and replicates >= 0):
+        raise ValueError(f"replicates must be an integer >= 0, got {replicates!r}")
     if n > _MAX_DRAWS:
         raise ResourceCapError(f"n = {n} draws per replicate exceeds the cap of {_MAX_DRAWS}")
     if replicates > _MAX_REPLICATES:
         raise ResourceCapError(f"replicates = {replicates} exceeds the cap of {_MAX_REPLICATES}")
     if workers <= 1 or replicates < 2 * workers:
         return _means_range(model, n, seed, 0, replicates)
+    from concurrent.futures import ProcessPoolExecutor
+
     edges = np.linspace(0, replicates, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(

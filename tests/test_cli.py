@@ -649,6 +649,27 @@ def _declared_console_script(name):
     return module, func
 
 
+def test_scipy_is_imported_only_for_the_models_that_need_it(tmp_path):
+    # a fresh interpreter: this one imported scipy for other tests long ago
+    cert = str(tmp_path / "cert.json")
+    code = (
+        "import sys\n"
+        "from entrobound.cli import main\n"
+        f"main(['certify', 'geometric:0.5', '--out', {cert!r}])\n"
+        f"main(['bound', '--cert', {cert!r}, '--n', '100', '--eps', '0.5'])\n"
+        "print('loaded:', 'scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)\n"
+        "main(['certify', 'poisson:4'])\n"
+        "print('loaded:', 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(entrobound.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = [line for line in result.stdout.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded: False False", "loaded: True"]
+
+
 def test_console_script_is_installed(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "entrobound.cli"],

@@ -6,10 +6,12 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -304,6 +306,44 @@ def test_deep_tail_draw_hits_resource_cap(monkeypatch):
         heavy._invert(np.array([0.9999]))
 
 
+def test_zeta_cap_trips_before_the_cache_grows():
+    # the draws reach past the mass a cache at the cap would hold
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="inverse-CDF cache would exceed 134217728 entries"):
+            Zeta(1.5).sample(0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("exponent", [1.05, 1.5, 2.1, 3.0])
+def test_zeta_tail_mass_floor_is_a_lower_bound(exponent):
+    model = Zeta(exponent)
+    for k in (1, 10, 1000, dist._CDF_INDEX_CAP):
+        # the Hurwitz zeta function sums j**(-exponent) over j > k
+        past = scipy.special.zeta(exponent, k + 1) / scipy.special.zeta(exponent)
+        assert 0.0 < model._tail_mass_floor(k) <= past
+    assert Geometric(0.5)._tail_mass_floor(10) == 0.0
+
+
+def test_early_refusal_is_where_growth_reaches_the_cap(monkeypatch):
+    monkeypatch.setattr(dist, "_CDF_INDEX_CAP", 4096)
+    u = np.array([0.9999])
+    refused = Zeta(1.5)
+    assert 1.0 - u[0] < refused._tail_mass_floor(4096)
+    with pytest.raises(ResourceCapError, match="exceed 4096 entries"):
+        refused._lookup(u)
+    assert refused._cache is None
+    # without the floor, the cache grows to the cap and then refuses
+    monkeypatch.setattr(Zeta, "_tail_mass_floor", dist.PmfModel._tail_mass_floor)
+    grown = Zeta(1.5)
+    with pytest.raises(ResourceCapError, match="exceed 4096 entries"):
+        grown._lookup(u)
+    assert grown._cache.cdf.size == 4096
+
+
 def test_cdf_cache_is_shared_and_consistent(geom_half):
     fresh = Geometric(0.25)
     first = fresh.sample(seed=1, count=100)
@@ -596,6 +636,27 @@ def test_guided_lookup_equals_binary_search_on_models(name, seed):
     assert clone._cdf is None
     _assert_guided(clone, u)
     assert np.array_equal(clone._lookup(u)[0], model._lookup(u)[0])
+
+
+@pytest.mark.parametrize("name", sorted(_GUIDED_MODELS))
+def test_lookup_into_a_workspace_matches_fresh_buffers(name):
+    model = _GUIDED_MODELS[name]()
+    tile = np.random.default_rng(5).random((7, 13))
+    model._lookup(tile)
+    # midpoints of buckets that hold two or more CDF entries, which take
+    # the binary search
+    lo, thresh = model._cache._guide
+    crowded = np.flatnonzero(np.isnan(thresh))[:: max(1, np.count_nonzero(np.isnan(thresh)) // 13)]
+    tile[0, : min(13, crowded.size)] = (crowded[:13] + 0.5) / thresh.size
+    model._lookup(tile)  # grows the cache for the new draws, if need be
+    work = dist._LookupBuffers(tile.size)
+    for rows in (7, 3, 1, 7):  # a full tile, partial ones, and a full one again
+        u = tile[:rows]
+        fresh_idx, fresh_log_pmf = model._lookup(u)
+        idx, log_pmf = model._lookup(u, work)
+        assert idx.shape == u.shape
+        assert np.array_equal(idx, fresh_idx)
+        assert work.scores(log_pmf, idx).tobytes() == fresh_log_pmf[fresh_idx].tobytes()
 
 
 # -- tabulated models --------------------------------------------------------

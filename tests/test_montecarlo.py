@@ -121,7 +121,7 @@ def _reference_means(model, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5, 2**128 + 3, 2**200 + 1])
 def test_spawned_states_match_replicate_streams(seed):
     # spawn keys of 2**32 and beyond are two words of entropy
     indices = np.array([*range(2048), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
@@ -184,6 +184,28 @@ def test_state_layout_check_passes_where_pcg128_is_native():
     assert bit_generator.state == expected
 
 
+def test_layout_verdict_is_reached_once_per_process(monkeypatch):
+    checks = []
+
+    def recording(bit_generator, view):
+        checks.append(bit_generator)
+        return round_trips(bit_generator, view)
+
+    round_trips = montecarlo._round_trips
+    monkeypatch.setattr(montecarlo, "_round_trips", recording)
+    monkeypatch.setattr(montecarlo, "_layout_ok", None)
+    generators = [np.random.PCG64(0) for _ in range(3)]
+    views = [montecarlo._state_words(g) for g in generators]
+    assert len(checks) == 1
+    # each generator still gets a view of its own words
+    if views[-1] is not None:
+        views[-1][:] = montecarlo._spawn_states(3, np.array([11]))[0]
+        assert generators[-1].state == montecarlo._replicate_rng(3, 11).bit_generator.state
+    # the verdict holds for the next engine call too
+    montecarlo._means_range(Geometric(0.5), 13, 0, 0, 40)
+    assert len(checks) == 1
+
+
 def test_engine_checks_the_layout_once_and_leaves_no_buffered_word(monkeypatch):
     generators = []
 
@@ -219,6 +241,34 @@ def test_engine_caps_trip_before_any_allocation(geom_half, n, replicates, fragme
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "n,replicates,fragment",
+    [
+        (0, 3, "n must be an integer >= 1, got 0"),
+        (2.5, 3, "n must be an integer >= 1, got 2.5"),
+        (200, -3, "replicates must be an integer >= 0, got -3"),
+        (200, 3.0, "replicates must be an integer >= 0, got 3.0"),
+        # checked before the caps: each of these is also past one
+        (10**12, -1, "replicates must be an integer >= 0, got -1"),
+        (0, 10**12, "n must be an integer >= 1, got 0"),
+    ],
+)
+def test_engine_rejects_malformed_arguments_first(geom_half, n, replicates, fragment):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=fragment):
+            replicate_log_likelihood_means(geom_half, n, replicates, seed=0, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_engine_runs_no_replicates():
+    means = replicate_log_likelihood_means(Geometric(0.5), 5, 0, seed=0)
+    assert means.shape == (0,) and means.dtype == np.float64
 
 
 def test_engine_memory_stays_tile_sized():
