@@ -206,7 +206,8 @@ def mgf_exact(
 
     exponent = 1.0 + lam
     partial, summed = 0.0, 0
-    for k_cut, remainder in _truncation_ladder(model, None, s, 64, f"MGF tolerance {tol:g}"):
+    rungs = _truncation_ladder(model, _own_tail(model), s, 64, f"MGF tolerance {tol:g}")
+    for k_cut, remainder in rungs:
         partial += _log_pmf_sum(model, lambda lp: np.exp(exponent * lp), summed + 1, k_cut)
         summed = k_cut
         lo = partial * factor_lo
@@ -219,9 +220,6 @@ def mgf_exact(
                 f"MGF tolerance {tol:g} is unreachable: the entropy interval alone "
                 f"contributes width {partial * (factor_hi - factor_lo):.3g}"
             )
-    raise ResourceCapError(
-        f"MGF tolerance {tol:g} is unreachable with {model.max_index()} listed masses"
-    )
 
 
 def select_r(

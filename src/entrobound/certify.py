@@ -172,28 +172,27 @@ def _truncation_ladder(
     what: str,
 ):
     """Yield rungs ``(k, bound on sum_{j > k} p_j**s)`` at k = max(k_min, k0)
-    times 1, 2, 4, ..., clamped (when at least k0) to the table end, where
-    the ladder stops, and to ``TRUNCATION_CAP``, past which it raises
-    ``ResourceCapError`` naming ``what``. ``tail`` defaults to the model's
-    own; a complete table needs none and is one rung at its end with
-    remainder 0.0.
+    times 1, 2, 4, ..., clamped (when at least k0) to the table end and to
+    ``TRUNCATION_CAP``. A complete table needs no ``tail`` and is one rung
+    at its end with remainder 0.0. Asked past its last rung, the ladder
+    raises: a ``ModelError`` that ``what`` is unreachable with the listed
+    masses at a table end, a ``ResourceCapError`` naming ``what`` at the cap.
     """
     end = model.max_index()
     if model.is_complete():
         yield end, 0.0
-        return
-    if tail is None:
-        tail = model.tail_certificate()
-    remainder = tail.remainder(model, s)
-    stop = TRUNCATION_CAP if end is None else end
-    k = max(k_min, tail.k0)
-    while k < stop:
-        yield k, remainder(k)
-        k *= 2
-    if tail.k0 <= stop:
-        yield stop, remainder(stop)
-    if end is None:
-        raise _cap_error(what)
+    else:
+        remainder = tail.remainder(model, s)
+        stop = TRUNCATION_CAP if end is None else end
+        k = max(k_min, tail.k0)
+        while k < stop:
+            yield k, remainder(k)
+            k *= 2
+        if tail.k0 <= stop:
+            yield stop, remainder(stop)
+        if end is None:
+            raise _cap_error(what)
+    raise ModelError(f"{what} is unreachable with only {end} listed masses")
 
 
 def _certification_tail(model: PmfModel, tail, shape: type, r: float, eps: float):
@@ -282,11 +281,6 @@ def _certify_on_ladder(
         if remainder <= eps:
             break
         lo = hi
-    else:
-        raise ModelError(
-            f"slack {eps:g} at r={r:g} is unreachable with only "
-            f"{model.max_index()} listed masses"
-        )
     if tail is None or lo >= hi:
         # Without a tail, or with k0 past a complete table's end, the end
         # is the only cut.
@@ -346,15 +340,12 @@ def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     r = certificate.r
     scale = 1.0 / (math.e * r)
-    rungs = _truncation_ladder(model, None, 1.0 - r, 64, f"entropy tolerance {tol:g} at r={r:g}")
+    what = f"entropy tolerance {tol:g} at r={r:g}"
+    rungs = _truncation_ladder(model, _own_tail(model), 1.0 - r, 64, what)
     for k_cut, remainder in rungs:
         remainder *= scale
         if remainder <= tol:
             break
-    else:
-        raise ResourceCapError(
-            f"entropy tolerance {tol:g} is unreachable with {model.max_index()} listed masses"
-        )
     lower = _log_pmf_sum(model, lambda lp: -np.exp(lp) * lp, 1, k_cut)
     return EntropyInterval(lower=lower, upper=lower + remainder, tolerance=tol)
 

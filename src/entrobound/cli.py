@@ -31,6 +31,7 @@ from .certify import (
     MomentCertificate,
     certify_moment,
     entropy_upper_coarse,
+    power_sum_partial,
 )
 from .distributions import Geometric, NegativeBinomial, PmfModel, Poisson, Tabulated, Zeta, json_float, json_int
 from .errors import (
@@ -121,17 +122,32 @@ def _resolve_certificate(
     r: float | None,
     slack: float | None,
     target_eps: float | None,
+    sampled: bool = False,
 ) -> MomentCertificate:
     """The certificate a command works from: loaded from ``cert`` when given,
     else certified for ``model`` at order ``r`` (or the one ``select_r``
     picks for ``target_eps``) and ``slack``, each unset value defaulting.
-    A loaded certificate was checked against no model and fixes r and slack."""
+    A loaded certificate fixes r and slack. Only a ``sampled`` model may
+    come with one, and a positive slack lets it be checked against that
+    model: C_r below the model's own partial power sum at that r and slack
+    refutes it."""
     if cert:
-        inputs = (("a model spec", model), ("--r", r), ("--slack", slack), ("--target-eps", target_eps))
+        inputs = (("--r", r), ("--slack", slack), ("--target-eps", target_eps))
+        if not sampled:
+            inputs = (("a model spec", model), *inputs)
         given = ", ".join(name for name, value in inputs if value is not None)
         if given:
             raise ModelError(f"--cert cannot be combined with {given}")
-        return MomentCertificate.load(cert)
+        certificate = MomentCertificate.load(cert)
+        if sampled and certificate.slack > 0:
+            k = certify_moment(model, r=certificate.r, eps=certificate.slack).truncation_index
+            partial = power_sum_partial(model, certificate.r, k)
+            if certificate.C_r < partial:
+                raise ModelError(
+                    f"certificate {cert} claims C_r = {certificate.C_r!r}, below {partial!r}, "
+                    f"the power sum of {model.describe()} through k = {k} at r = {certificate.r!r}"
+                )
+        return certificate
     if model is None:
         raise ModelError("either a model spec or --cert is required")
     slack = DEFAULT_SLACK if slack is None else slack
@@ -287,8 +303,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         entropy_tolerance=args.entropy_tol,
     )
-    # The model is always given, to sample; --cert only replaces certifying it.
-    certificate = _resolve_certificate(None if args.cert else model, args.cert, args.r, args.slack, None)
+    certificate = _resolve_certificate(model, args.cert, args.r, args.slack, None, sampled=True)
     report = estimate_deviation_probability(config, certificate, workers=args.workers)
     _emit_reports([report], args.format, args.out)
     return _reports_exit_code([report])

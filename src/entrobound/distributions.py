@@ -178,18 +178,23 @@ class GeometricRatioTail(_TailCertificate):
 
 
 def json_int(value, name: str) -> int:
-    """An integer JSON field; ``int`` would accept a boolean or truncate a fraction."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer JSON field; ``int`` would accept a boolean or a string,
+    or truncate a fraction."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ModelError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def json_float(value, name: str) -> float:
     """A number JSON field; ``float`` would read a boolean as 0.0 or 1.0,
-    and a string as whatever number it spells."""
+    a string as whatever number it spells, and raise ``OverflowError`` on
+    an integer past the float range."""
     if isinstance(value, (bool, str)):
         raise ModelError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelError(f"{name} must be a number, got an integer too large for a float") from None
 
 
 # The documented spelling of each tail kind and the one ``to_dict`` writes;
@@ -616,7 +621,15 @@ class NegativeBinomial(PmfModel):
         # then nudge to the exact boundary.
         if self.size <= 1.0:
             return GeometricRatioTail(k0=1, q=q)
-        k0 = max(1, math.ceil(2.0 * self.prob * (self.size - 1.0) / (1.0 - self.prob)))
+        start = 2.0 * self.prob * (self.size - 1.0) / (1.0 - self.prob)
+        if not start < 2.0**53:
+            # Past 2**53 a step of k0 no longer moves the float ratio, so the
+            # nudges below would never end; the start is past any truncation cap.
+            raise ResourceCapError(
+                f"negative binomial size {self.size!r} with prob {self.prob!r} starts "
+                f"its ratio tail at index {start:.3g}, past every truncation cap"
+            )
+        k0 = max(1, math.ceil(start))
         while k0 > 1 and self._mass_ratio(k0 - 1) <= q:
             k0 -= 1
         while self._mass_ratio(k0) > q:
@@ -764,11 +777,12 @@ class Tabulated(PmfModel):
 
     @classmethod
     def from_dict(cls, payload: dict, label: str | None = None) -> "Tabulated":
-        if "probs" not in payload:
+        if not isinstance(payload, dict):
+            raise ModelError(f"a tabulated model must be a JSON object, got {payload!r}")
+        if not isinstance(payload.get("probs"), list):
             raise ModelError('tabulated JSON must contain a "probs" array')
         tail = tail_from_dict(payload["tail"]) if payload.get("tail") is not None else None
-        probs = payload["probs"]
-        masses = [json_float(p, "probs") for p in probs] if isinstance(probs, list) else probs
+        masses = [json_float(p, "probs") for p in payload["probs"]]
         return cls(masses, tail=tail, label=label)
 
     @classmethod

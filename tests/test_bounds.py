@@ -18,6 +18,7 @@ from entrobound import (
     EntropyInterval,
     Geometric,
     GeometricRatioTail,
+    ModelError,
     MomentCertificate,
     NegativeBinomial,
     Poisson,
@@ -267,6 +268,18 @@ def test_mgf_exact_entropy_floor(geom_mgf_setup):
     sloppy = EntropyInterval(lower=1.0, upper=2.0, tolerance=1.0)
     with pytest.raises(ResourceCapError, match="entropy interval"):
         mgf_exact(model, cert, sloppy, 0.25, tol=1e-9)
+
+
+def test_a_table_that_runs_out_before_a_tolerance_is_a_model_error():
+    # twenty listed masses cannot meet either tolerance; certification
+    # refuses such a slack with the same error
+    table = Tabulated([0.5**k for k in range(1, 21)], tail=GeometricRatioTail(k0=1, q=0.5))
+    cert = certify_moment(table, r=0.5, eps=0.01)
+    with pytest.raises(ModelError, match="entropy tolerance 0.001 at r=0.5 is unreachable with only 20 listed masses"):
+        entropy_interval(table, cert, 1e-3)
+    # a zero-width entropy interval keeps the check clear of its entropy floor
+    with pytest.raises(ModelError, match="MGF tolerance 1e-09 is unreachable with only 20 listed masses"):
+        mgf_exact(table, cert, EntropyInterval(1.38, 1.38, 1e-9), 0.1)
 
 
 def test_mgf_envelope_dominates_exact_values(geom_mgf_setup):

@@ -1,6 +1,9 @@
 """Command line behaviour: parsing, formats, files, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrobound
 from entrobound import (
@@ -221,6 +226,18 @@ def test_bound_huge_radius_is_finite(capsys):
             {"r": "0.5", "C_r": 2.4142137483611488, "slack": 1e-6, "truncation_index": 43, "provenance": "ratio"},
             "malformed value: r must be a number, got '0.5'",
         ),
+        # nor is a string an integer, though int() reads the number it spells
+        (
+            ["bound", "--n", "100", "--eps", "0.5"],
+            {"r": 0.5, "C_r": 2.4142137483611488, "slack": 1e-6, "truncation_index": "3", "provenance": "ratio"},
+            "malformed value: truncation_index must be an integer, got '3'",
+        ),
+        # an integer past the float range is a malformed value, not an OverflowError
+        (
+            ["bound", "--n", "100", "--eps", "0.5"],
+            {"r": 0.5, "C_r": 10**400, "slack": 1e-6, "truncation_index": 43, "provenance": "ratio"},
+            "C_r must be a number, got an integer too large for a float",
+        ),
     ],
 )
 def test_malformed_certificate_is_a_usage_error(tmp_path, capsys, command, payload, fragment):
@@ -322,6 +339,34 @@ def test_simulate_with_saved_certificate(tmp_path, capsys):
     ) == EXIT_OK
 
 
+def test_simulate_refuses_a_certificate_its_model_refutes(tmp_path, capsys):
+    # Geometric(0.9)'s C_r is 1.387; Geometric(0.3)'s power sum through its
+    # own truncation index 85 is 3.353, so the loaded certificate is unsound
+    cert_path = tmp_path / "g.json"
+    assert main(["certify", "geometric:0.9", "--out", str(cert_path)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["simulate", "geometric:0.3", "--cert", str(cert_path),
+            "--n", "200", "--replicates", "2000", "--eps", "0.2,0.4,0.8"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "claims C_r = 1.3874264479802045, below 3.35326" in captured.err
+    assert "through k = 85" in captured.err
+
+
+def test_simulate_with_the_models_own_saved_certificate_matches_certifying(tmp_path, capsys):
+    cert_path = tmp_path / "g.json"
+    assert main(["certify", "geometric:0.3", "--out", str(cert_path)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["simulate", "geometric:0.3", "--n", "200", "--replicates", "2000",
+            "--eps", "0.2,0.4,0.8", "--format", "csv"]
+    assert main(argv) == EXIT_OK
+    certified = capsys.readouterr().out
+    assert main([*argv, "--cert", str(cert_path)]) == EXIT_OK
+    assert capsys.readouterr().out == certified
+
+
 def test_simulate_fail_verdict_exit_code(tmp_path, capsys):
     # a certificate claiming an absurdly small power sum gets caught
     cert_path = tmp_path / "bogus.json"
@@ -420,6 +465,18 @@ def test_sweep_abort_flushes_partial_results(tmp_path, capsys):
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "slack": true}]', "slack must be a number, got True"),
         ('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "entropy_tol": false}]',
          "entropy_tol must be a number, got False"),
+        # strings are not integers, though int() reads "10" as 10
+        ('[{"model": "geometric:0.5", "n": "10", "eps": 0.5, "replicates": 100, "seed": 3}]',
+         "n must be an integer, got '10'"),
+        ('[{"model": "geometric:0.5", "n": 10, "eps": 0.5, "replicates": "100", "seed": 3}]',
+         "replicates must be an integer, got '100'"),
+        ('[{"model": "geometric:0.5", "n": 10, "eps": 0.5, "replicates": 100, "seed": "3"}]',
+         "seed must be an integer, got '3'"),
+        # integers past the float range
+        pytest.param('[{"model": "geometric:0.5", "n": 30, "eps": 0.5, "slack": 1%s}]' % ("0" * 400),
+                     "slack must be a number, got an integer too large for a float", id="slack-10**400"),
+        pytest.param('[{"model": "geometric:0.5", "n": 30, "eps": 1%s, "replicates": 100}]' % ("0" * 400),
+                     "eps must be a number, got an integer too large for a float", id="eps-10**400"),
     ],
 )
 def test_sweep_config_validation(tmp_path, capsys, content, fragment):
@@ -529,6 +586,8 @@ def test_certify_reads_the_documented_tail_schema(tmp_path, capsys, tail):
         ({"kind": "geometric_ratio", "k0": 1, "q": True}, "tail q must be a number, got True"),
         ({"kind": "power_law", "k0": 1, "c0": True, "alpha": 2.0}, "tail c0 must be a number, got True"),
         ({"kind": "power_law", "k0": 1, "c0": 0.6, "alpha": True}, "tail alpha must be a number, got True"),
+        ({"kind": "geometric_ratio", "k0": "1", "q": 0.5}, "tail k0 must be an integer, got '1'"),
+        ({"kind": "geometric_ratio", "k0": 1, "q": 10**400}, "tail q must be a number, got an integer too large"),
     ],
 )
 def test_certify_names_a_missing_or_malformed_tail_field(tmp_path, capsys, tail, fragment):
@@ -550,6 +609,49 @@ def test_certify_refuses_a_boolean_mass(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "probs must be a number, got True" in err
+
+
+@pytest.mark.parametrize(
+    "payload,fragment",
+    [
+        (["probs"], "a tabulated model must be a JSON object, got ['probs']"),
+        # numpy read a bare number as a 0-d table, or overflowed on a huge one
+        ({"probs": 10**400}, 'tabulated JSON must contain a "probs" array'),
+        ({"probs": [10**400]}, "probs must be a number, got an integer too large for a float"),
+    ],
+    ids=["list", "probs-10**400", "mass-10**400"],
+)
+def test_a_malformed_table_file_is_a_usage_error(tmp_path, capsys, payload, fragment):
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps(payload))
+    assert main(["certify", f"tabulated:{table}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+# The closed-form start 2 * prob * (size - 1) / (1 - prob) overflows at
+# 1e308; at 1e100 it is finite but one step of k0 no longer moves the
+# float mass ratio, and the search for the exact start never ended.
+@pytest.mark.parametrize("size", ["1e308", "1e100"])
+def test_a_negative_binomial_tail_start_past_float_resolution_is_a_cap(capsys, size):
+    assert main(["certify", f"negbinomial:{size},0.5"]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"negative binomial size {float(size)!r} with prob 0.5" in err
+
+
+def test_simulate_a_table_that_runs_out_before_the_entropy_tolerance(tmp_path, capsys):
+    # the slack is met at index 16 but the entropy tolerance min(eps)/100 is not
+    # met by the twenty listed masses: a model error, as in certification
+    table = tmp_path / "t20.json"
+    tail = {"kind": "geometric_ratio", "k0": 1, "q": 0.5}
+    table.write_text(json.dumps({"probs": [0.5**k for k in range(1, 21)], "tail": tail}))
+    argv = ["simulate", f"tabulated:{table}", "--slack", "0.01", "--n", "10", "--eps", "0.1", "--replicates", "100"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "entropy tolerance 0.001 at r=0.5 is unreachable with only 20 listed masses" in err
 
 
 def test_an_unreachable_slack_on_a_power_law_table_names_its_end(tmp_path, capsys):
@@ -607,6 +709,69 @@ def test_select_r_on_a_complete_table_without_a_tail(tmp_path, capsys):
 def test_exit_code_resource_cap(capsys):
     assert main(["certify", "zeta:1.05"]) == EXIT_RESOURCE
     assert "cap" in capsys.readouterr().err
+
+
+# -- file reader fuzzing ----------------------------------------------------------
+
+# One valid file of each kind the CLI reads, the command that reads it, and
+# the paths of its fields; () stands for the top-level value itself.
+_FUZZ_FILES = {
+    "certificate": (
+        {"r": 0.5, "C_r": 2.4142137483611488, "slack": 1e-6, "truncation_index": 43, "provenance": "ratio"},
+        ["simulate", "geometric:0.5", "--n", "20", "--eps", "0.5", "--replicates", "100", "--cert", "{path}"],
+        [(), ("r",), ("C_r",), ("slack",), ("truncation_index",), ("provenance",)],
+    ),
+    "table": (
+        {"probs": [0.5**k for k in range(1, 21)], "tail": {"kind": "geometric_ratio", "k0": 1, "q": 0.5}},
+        ["certify", "tabulated:{path}", "--slack", "0.01"],
+        [(), ("probs",), ("probs", 0), ("tail",), ("tail", "kind"), ("tail", "k0"), ("tail", "q")],
+    ),
+    "sweep entry": (
+        {"model": "geometric:0.5", "n": 20, "eps": [0.5], "replicates": 100, "seed": 1,
+         "r": 0.5, "slack": 1e-6, "entropy_tol": 1e-3},
+        ["sweep", "--config", "{path}"],
+        [(), ("model",), ("n",), ("eps",), ("eps", 0), ("replicates",), ("seed",),
+         ("r",), ("slack",), ("entropy_tol",)],
+    ),
+}
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.integers(min_value=10**308, max_value=10**400),
+    # json.dumps writes these as the raw tokens NaN, Infinity and -Infinity
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_file_readers_end_in_an_exit_code_never_a_traceback(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(_FUZZ_FILES)), label="file")
+    valid, argv, paths = _FUZZ_FILES[kind]
+    where = data.draw(st.sampled_from(paths), label="field")
+    junk = data.draw(_JUNK, label="value")
+    payload = json.loads(json.dumps(valid))
+    if where:
+        *parents, last = where
+        holder = payload
+        for key in parents:
+            holder = holder[key]
+        holder[last] = junk
+    else:
+        payload = junk
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+    path.write_text(json.dumps([payload] if kind == "sweep entry" else payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.replace("{path}", str(path)) for arg in argv])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE, EXIT_NO_CERTIFICATE, EXIT_RESOURCE, EXIT_SIM_FAIL)
+    if code not in (EXIT_OK, EXIT_SIM_FAIL):
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1, message
 
 
 def test_help_exits_cleanly(capsys):
