@@ -44,6 +44,20 @@ NORMALIZATION_TOL = 1e-12
 # deliberately far below the truncation cap used for certified sums.
 _CDF_INDEX_CAP = 2**27
 
+# Inverse-CDF caches grow this many outcomes at a time (128 KiB of float64,
+# so a block's masses stay in cache from exp to cumsum), and a growth stops
+# at the first block whose cumulative mass passes the draw.
+_CDF_BLOCK = 2**14
+
+# A guide starts at 2**10 buckets and doubles, up to 2**16, while more than
+# this share of them hold two or more CDF entries, so that a uniform landing
+# there needs a binary search. Chosen by measurement (2-vCPU Xeon, numpy
+# 2.4): a binary search costs up to ~250 ns, so each 1/32 of crowded buckets
+# adds ~8 ns to a lookup of 4-7 ns, while a guide of 2**15 or 2**16 buckets
+# (0.5-1 MiB) misses cache and adds 1-4 ns. At this share zeta guides stay at
+# 2**10, Geometric(1e-2) gets 2**12, Geometric(1e-3) and Poisson(1e6) 2**15.
+_GUIDE_CROWDED_SHARE = 1 / 32
+
 # Absolute slack, on the log scale, granted when spot-checking certificate
 # inequalities that the model satisfies with equality up to rounding.
 _SPOT_CHECK_SLACK = 1e-9
@@ -239,24 +253,32 @@ class _InverseCdf:
     use; lookups score with the model's head. The ``offset`` outcomes before
     them have cumulative mass exactly 0.0 and are not stored: a binary search
     for any u >= 0 passes over them, so no draw selects one. A cache that
-    grows is a new record, so the guide always describes its own CDF.
+    grows is a new record, so the guide always describes its own CDF. When
+    the cache ends inside a growth chunk, ``base`` and ``carry`` are that
+    chunk's starting mass and the running sum of its masses so far, from
+    which ``PmfModel._extend_cdf`` resumes it.
 
     The guide (indexed search: Chen & Asau 1974; Devroye 1986, III.2.4)
-    splits [0, 1) into m = 2**b equal buckets, b the bit length of the
-    cache size held to 10..16 (at most 1 MiB). Bucket j records how many
+    splits [0, 1) into m = 2**b equal buckets. Bucket j records how many
     CDF entries are <= j/m and, when exactly one entry lies in
     (j/m, (j+1)/m], that entry; a uniform in the bucket then needs one
-    comparison. The rare draws in buckets holding two or more entries
-    fall back to a binary search. Because m is a power of two, u * m and
-    j / m are exact, so every index equals the binary search's.
+    comparison. Uniforms in buckets holding two or more entries fall back
+    to a binary search, so m starts at 2**10 and doubles while more than
+    ``_GUIDE_CROWDED_SHARE`` of the buckets are crowded, up to 2**16 (1 MiB).
+    A heavy tail piles its entries just below 1, into the last bucket or
+    two whatever m is, so it keeps a small guide that stays in cache; a
+    wide light-tailed model spreads them and gets a large one. Because m
+    is a power of two, u * m and j / m are exact, so every index equals
+    the binary search's.
     """
 
-    def __init__(self, cdf: np.ndarray, offset: int = 0) -> None:
+    def __init__(self, cdf: np.ndarray, offset: int = 0, base: float = 0.0, carry: float = 0.0) -> None:
         # Leading entries of exactly 0.0 move into the offset; the copy
         # frees the array that held them.
         zeros = int(np.searchsorted(cdf, 0.0, side="right"))
         self.cdf = cdf[zeros:].copy() if zeros else cdf
         self.offset = offset + zeros
+        self.base, self.carry = base, carry
         self.exhausted = False
         self._guide: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -293,21 +315,32 @@ class _InverseCdf:
 
     def _build_guide(self) -> tuple[np.ndarray, np.ndarray]:
         cdf, last = self.cdf, self.cdf.size - 1
-        m = 1 << min(16, max(10, last.bit_length()))
-        # below[j] counts the entries <= j/m. An entry c is <= j/m exactly
-        # when ceil(c * m) <= j, and for j < m only entries <= (m-1)/m count,
-        # which skips the long tail of a heavy-tailed cache.
-        head = cdf[: np.searchsorted(cdf, (m - 1) / m, side="right")]
-        below = np.append(
-            np.cumsum(np.bincount(np.ceil(head * m).astype(np.intp), minlength=m)),
-            np.searchsorted(cdf, 1.0, side="right"),
-        )
-        lo, points = below[:-1], np.diff(below)
+        m = 1 << 10
+        while True:
+            # below[j] counts the entries <= j/m. An entry c is <= j/m exactly
+            # when ceil(c * m) <= j, and for j < m only entries <= (m-1)/m
+            # count, which skips the long tail of a heavy-tailed cache.
+            head = cdf[: np.searchsorted(cdf, (m - 1) / m, side="right")]
+            below = np.append(
+                np.cumsum(np.bincount(np.ceil(head * m).astype(np.intp), minlength=m)),
+                np.searchsorted(cdf, 1.0, side="right"),
+            )
+            lo, points = below[:-1], np.diff(below)
+            if m == 1 << 16 or np.count_nonzero(points > 1) <= m * _GUIDE_CROWDED_SHARE:
+                break
+            # A bucket of more than s entries leaves a crowded one among its
+            # s parts at m * s, so skip each size those alone make too crowded.
+            s = 2
+            while m * s < 1 << 16 and np.count_nonzero(points > s) > m * s * _GUIDE_CROWDED_SHARE:
+                s *= 2
+            m *= s
         # An entry equal to (j+1)/m counts as a point of bucket j, where no
         # uniform reaches it; the comparison still gives the right index.
         thresh = np.where(points == 1, cdf[np.minimum(lo, last)], np.inf)
         thresh[points > 1] = np.nan  # marks the buckets that need the binary search
-        # Where every answer is at least the last index, the clamp is the answer.
+        # Where every answer is at least the last index, the clamp is the
+        # answer. A crowded bucket holds the entries lo and lo + 1, so it is
+        # never one of these.
         thresh[lo >= last] = np.inf
         return np.minimum(lo, last).astype(np.intp, copy=False), thresh
 
@@ -352,10 +385,12 @@ class PmfModel(abc.ABC):
     log p_1 .. log p_size, which only ``_grow_head`` extends, by appending
     ``log_pmf_array`` on the outcomes it lacks. Scalar lookups double it
     from 1024 outcomes up to ``CHUNK`` (8 MiB) and the table end; the
-    sampling cache of cumulative masses grows it as far as its own, up to
-    ``_CDF_INDEX_CAP`` and the table end. The cache is one record, replaced
-    whole when it grows, so a lookup never mixes two states of it; it never
-    affects sampled values, only speed. Pickling drops the cache and head.
+    sampling cache of cumulative masses grows it as far as its own, a
+    block of ``_CDF_BLOCK`` outcomes at a time and only until it covers
+    the largest uniform of a lookup, up to ``_CDF_INDEX_CAP`` and the table
+    end. The cache is one record, replaced whole when it grows, so a lookup
+    never mixes two states of it; it never affects sampled values, only
+    speed. Pickling drops the cache and head.
     """
 
     def __init__(self) -> None:
@@ -470,8 +505,8 @@ class PmfModel(abc.ABC):
         """A certified lower bound on the mass of the outcomes past ``k``.
 
         A model that gives a positive one must also keep every doubling
-        of its inverse-CDF cache up to ``k`` from being futile while that
-        mass exceeds ``k * 2**-52``, so that ``_lookup`` refuses a draw
+        chunk of its inverse-CDF cache up to ``k`` from being futile while
+        that mass exceeds ``k * 2**-52``, so that ``_lookup`` refuses a draw
         exactly where growing the cache would have reached the cap.
         """
         return 0.0
@@ -494,34 +529,80 @@ class PmfModel(abc.ABC):
             cap = _CDF_INDEX_CAP
             if 1.0 - target < self._tail_mass_floor(cap) - cap * 2.0**-52:
                 raise ResourceCapError(_cap_message(cap))
-            while cache is None or (cache.top <= target and not cache.exhausted):
-                self._extend_cdf()
-                cache = self._cache
+            self._extend_cdf(target)
+            cache = self._cache
         # A draw can only land past the cached mass when the remaining tail
         # is below float resolution; the index folds it onto the last
         # cached outcome.
         return cache.index(u, work), self._head[cache.offset :]
 
-    def _extend_cdf(self) -> None:
+    def _extend_cdf(self, target: float) -> None:
+        """Grow the cache until its mass passes ``target`` or it is exhausted,
+        and raise ``ResourceCapError`` when that would pass the cap.
+
+        Outcomes join in chunks that end at 1024 * 2**j and at the table end.
+        Each stored mass is its chunk's base, the cumulative mass where the
+        chunk starts, plus a float running sum of the chunk's masses, so it
+        is ``base + np.cumsum(masses)`` over the whole chunk. A chunk is
+        summed a block of ``_CDF_BLOCK`` at a time, with the running sum
+        carried from block to block, and growth stops after the first block
+        that passes ``target``; the record keeps the carry for the next
+        growth. A chunk that leaves its positive base unchanged finds the
+        tail below float resolution: it is futile, dropped whole, and the
+        cache is exhausted. The head supplies each log-mass it holds, gets
+        the ones computed here appended, and loses none.
+        """
         cache, head = self._cache, self._head
+        end = self.max_index()
+        cap = _CDF_INDEX_CAP if end is None else end
         have = 0 if cache is None else cache.offset + cache.cdf.size
-        cap = self.max_index() if self.max_index() is not None else _CDF_INDEX_CAP
-        if have >= cap:
-            if self.max_index() is not None:
-                cache.exhausted = True
-                return
-            raise ResourceCapError(_cap_message(cap))
-        want = min(cap, max(1024, 2 * have))
-        base = 0.0 if cache is None else cache.top
-        grown = base + np.cumsum(np.exp(self._grow_head(want)[have:want]))
-        if base > 0.0 and grown[-1] <= base:
-            # Tail mass fell below float resolution; growth is futile, so drop it.
-            self._head = head
+        top = 0.0 if cache is None else cache.top
+        base, carry = (0.0, 0.0) if cache is None else (cache.base, cache.carry)
+        known = 0 if head is None else head.size
+        # scratch[0] holds the carry and scratch[1:] a block's masses, so one
+        # cumsum continues the chunk's running sum
+        scratch = np.empty(_CDF_BLOCK + 1, dtype=np.float64)
+        sums: list[np.ndarray] = []  # the new cumulative masses, block by block
+        logs: list[np.ndarray] = []  # the new head entries, block by block
+        chunk = (0, 0)  # where in sums and logs the current chunk starts
+        exhausted = capped = False
+        while top <= target:
+            if have >= cap:
+                capped = end is None
+                exhausted = not capped
+                break
+            start = 0 if have < 1024 else 1 << (have.bit_length() - 1)
+            chunk_end = min(cap, max(1024, 2 * start))
+            if have == start:
+                base, carry, chunk = top, 0.0, (len(sums), len(logs))
+            stop = min(chunk_end, have + _CDF_BLOCK)
+            size = stop - have
+            read = max(0, min(known, stop) - have)  # outcomes the head holds
+            if read:
+                np.exp(head[have : have + read], out=scratch[1 : read + 1])
+            if read < size:
+                logs.append(self.log_pmf_array(np.arange(have + read + 1, stop + 1, dtype=np.int64)))
+                np.exp(logs[-1], out=scratch[read + 1 : size + 1])
+            scratch[0] = carry
+            np.cumsum(scratch[: size + 1], out=scratch[: size + 1])
+            carry = float(scratch[size])
+            sums.append(scratch[1 : size + 1] + base)
+            have, top = stop, float(sums[-1][-1])
+            if stop == chunk_end and base > 0.0 and top <= base:
+                del sums[chunk[0] :], logs[chunk[1] :]
+                exhausted = True
+                break
+        if sums:
+            offset = 0 if cache is None else cache.offset
+            grown = np.concatenate(sums if cache is None else [cache.cdf, *sums])
+            cache = self._cache = _InverseCdf(grown, offset, base, carry)
+        if logs:
+            self._head = np.concatenate(logs if head is None else [head, *logs])
+            self._head.setflags(write=False)
+        if exhausted:
             cache.exhausted = True
-            return
-        if cache is not None:
-            grown = np.concatenate([cache.cdf, grown])
-        self._cache = _InverseCdf(grown, 0 if cache is None else cache.offset)
+        if capped:
+            raise ResourceCapError(_cap_message(cap))
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_cache": None, "_head": None}
@@ -551,6 +632,22 @@ class Poisson(PmfModel):
         # every outcome index k >= ceil(2 * rate).
         return GeometricRatioTail(k0=math.ceil(2.0 * self.rate), q=0.5)
 
+    def _tail_mass_floor(self, k: int) -> float:
+        # The mass past outcome k is P(N >= k) = 1 - P(N <= x), x = k - 1,
+        # and for x < rate the Chernoff bound gives P(N <= x) <= exp(-rate)
+        # * (e * rate / x)**x. Its exponent is widened by 2**-48 of the sizes
+        # of its terms, far above their rounding, and the result is rounded
+        # down. A positive floor needs k - 1 < rate, so the masses of
+        # outcomes 1..k rise, each ratio rate / count being over 1: a
+        # doubling (h, 2h] with 2h <= k adds at least its base, which is no
+        # futile growth.
+        x, rate = k - 1.0, self.rate
+        if not x < rate:
+            return 0.0
+        gain = x * (1.0 + math.log(rate / x)) if x > 0.0 else 0.0
+        exponent = min(0.0, gain - rate + 2.0**-48 * (gain + rate))
+        return -math.expm1(exponent) * (1.0 - 2.0**-50)
+
 
 class Geometric(PmfModel):
     """p_k = (1 - prob)**(k - 1) * prob on k = 1, 2, ..."""
@@ -573,6 +670,18 @@ class Geometric(PmfModel):
 
     def tail_certificate(self) -> GeometricRatioTail:
         return GeometricRatioTail(k0=1, q=1.0 - self.prob)
+
+    def _tail_mass_floor(self, k: int) -> float:
+        # The mass past k is exactly (1 - prob)**k = exp(k * log1p(-prob)).
+        # Scaling the exponent by 1 + 2**-50 outweighs the rounding of log1p
+        # and of the products (under 2**-51 together), and the last factor
+        # that of exp. A doubling (h, 2h] with 2h <= k holds h masses, each
+        # at least (1 - prob)**(2h - 1) times each of the h masses before
+        # it, so it adds at least its base times (1 - prob)**k, which is
+        # over k * 2**-52 >= 2h * 2**-52 while the floor matters: far above
+        # the rounding of a running sum of h masses and half an ulp of the
+        # base, so no growth up to k is futile.
+        return math.exp(k * math.log1p(-self.prob) * (1.0 + 2.0**-50)) * (1.0 - 2.0**-50)
 
 
 class NegativeBinomial(PmfModel):
@@ -618,23 +727,35 @@ class NegativeBinomial(PmfModel):
         q = (1.0 + self.prob) / 2.0
         # The ratio is monotone in k with limit prob < q, so the first index
         # satisfying the cap starts a run that never ends. Closed form first,
-        # then nudge to the exact boundary.
+        # then find the exact boundary: gallop from the start to an index on
+        # each side of it, then bisect. Near prob = 1 the float ratio is flat
+        # over billions of indices, so a unit step would not end.
         if self.size <= 1.0:
             return GeometricRatioTail(k0=1, q=q)
         start = 2.0 * self.prob * (self.size - 1.0) / (1.0 - self.prob)
         if not start < 2.0**53:
-            # Past 2**53 a step of k0 no longer moves the float ratio, so the
-            # nudges below would never end; the start is past any truncation cap.
+            # Past 2**53 a step of k0 no longer moves the float ratio; the
+            # start is past any truncation cap.
             raise ResourceCapError(
                 f"negative binomial size {self.size!r} with prob {self.prob!r} starts "
                 f"its ratio tail at index {start:.3g}, past every truncation cap"
             )
-        k0 = max(1, math.ceil(start))
-        while k0 > 1 and self._mass_ratio(k0 - 1) <= q:
-            k0 -= 1
-        while self._mass_ratio(k0) > q:
-            k0 += 1
-        return GeometricRatioTail(k0=k0, q=q)
+
+        def capped(k: int) -> bool:
+            return self._mass_ratio(k) <= q
+
+        # lo is below the run, or 0 once every index down to 1 is in it;
+        # hi is in the run once the gallops stop
+        hi = max(1, math.ceil(start))
+        lo, step = hi - 1, 1
+        while lo > 0 and capped(lo):
+            lo, hi, step = max(0, lo - step), lo, 2 * step
+        while not capped(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if capped(mid) else (mid, hi)
+        return GeometricRatioTail(k0=hi, q=q)
 
 
 class Zeta(PmfModel):

@@ -592,10 +592,10 @@ def reports_to_csv(reports: list[SimulationReport]) -> str:
     writer = csv.DictWriter(buffer, CSV_COLUMNS, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     for report in reports:
-        payload = asdict(report)
-        row = {**payload, **payload["certificate"]}
-        for record in payload["records"]:
-            writer.writerow({**row, **record})
+        # the fields themselves: asdict would deep-copy every report
+        row = {**vars(report), **vars(report.certificate)}
+        for record in report.records:
+            writer.writerow({**row, **vars(record)})
     return buffer.getvalue()
 
 

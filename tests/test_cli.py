@@ -641,6 +641,24 @@ def test_a_negative_binomial_tail_start_past_float_resolution_is_a_cap(capsys, s
     assert f"negative binomial size {float(size)!r} with prob 0.5" in err
 
 
+# With prob within about 1e-7 of 1 the float mass ratio is flat over
+# billions of indices around the tail start, so a unit-step search for it
+# never ended.
+@pytest.mark.parametrize("spec", [
+    "negbinomial:1000.0187268323821,0.999999999985892",
+    "negbinomial:2.734004642842936,0.9999999999999659",
+])
+def test_a_negative_binomial_tail_start_on_a_flat_ratio_is_found_at_once(spec):
+    result = subprocess.run(
+        [sys.executable, "-m", "entrobound.cli", "certify", spec],
+        capture_output=True, text=True, timeout=2,
+        env=dict(os.environ, PYTHONPATH=str(Path(entrobound.__file__).resolve().parents[1])),
+    )
+    assert result.returncode in (EXIT_OK, EXIT_RESOURCE)
+    if result.returncode != EXIT_OK:
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 def test_simulate_a_table_that_runs_out_before_the_entropy_tolerance(tmp_path, capsys):
     # the slack is met at index 16 but the entropy tolerance min(eps)/100 is not
     # met by the twenty listed masses: a model error, as in certification

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -325,7 +326,7 @@ def test_zeta_tail_mass_floor_is_a_lower_bound(exponent):
         # the Hurwitz zeta function sums j**(-exponent) over j > k
         past = scipy.special.zeta(exponent, k + 1) / scipy.special.zeta(exponent)
         assert 0.0 < model._tail_mass_floor(k) <= past
-    assert Geometric(0.5)._tail_mass_floor(10) == 0.0
+    assert NegativeBinomial(2.5, 0.4)._tail_mass_floor(10) == 0.0
 
 
 def test_early_refusal_is_where_growth_reaches_the_cap(monkeypatch):
@@ -342,6 +343,58 @@ def test_early_refusal_is_where_growth_reaches_the_cap(monkeypatch):
     with pytest.raises(ResourceCapError, match="exceed 4096 entries"):
         grown._lookup(u)
     assert grown._cache.cdf.size == 4096
+
+
+@pytest.mark.parametrize("prob", [1e-9, 1e-4, 0.003, 0.5])
+def test_geometric_tail_mass_floor_is_a_lower_bound(prob):
+    model = Geometric(prob)
+    with mpmath.workdps(40):
+        for k in (1, 10, 1000, 2**20, dist._CDF_INDEX_CAP):
+            past = (1 - mpmath.mpf(prob)) ** k  # prob's exact binary value
+            floor = model._tail_mass_floor(k)
+            assert 0.0 <= floor <= past
+            if past > 1e-300:
+                assert floor >= past * (1 - mpmath.mpf(1e-12))
+
+
+@pytest.mark.parametrize("rate", [3.0, 1e4, 1e6, 2e8])
+def test_poisson_tail_mass_floor_is_a_lower_bound(rate):
+    model = Poisson(rate)
+    for k in (1, 2, int(rate / 2) + 1, int(rate), int(rate) + 2, dist._CDF_INDEX_CAP):
+        # the mass past outcome k, P(count >= k), is the regularized lower
+        # incomplete gamma function P(k, rate)
+        past = scipy.special.gammainc(k, rate)
+        assert 0.0 <= model._tail_mass_floor(k) <= past
+    assert model._tail_mass_floor(1) > 0.0 and model._tail_mass_floor(int(rate) + 2) == 0.0
+
+
+@pytest.mark.parametrize("model", [Geometric(1e-9), Poisson(2e8)], ids=repr)
+def test_light_tail_cap_trips_before_the_cache_grows(model):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="inverse-CDF cache would exceed 134217728 entries"):
+            model.sample(0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("family, args", [(Geometric, (1e-4,)), (Poisson, (1e4,))])
+def test_light_tail_early_refusal_is_where_growth_reaches_the_cap(monkeypatch, family, args):
+    monkeypatch.setattr(dist, "_CDF_INDEX_CAP", 4096)
+    u = np.array([0.5])
+    refused = family(*args)
+    assert 1.0 - u[0] < refused._tail_mass_floor(4096)
+    with pytest.raises(ResourceCapError, match="exceed 4096 entries"):
+        refused._lookup(u)
+    assert refused._cache is None
+    # without the floor, the cache grows to the cap and then refuses
+    monkeypatch.setattr(family, "_tail_mass_floor", dist.PmfModel._tail_mass_floor)
+    grown = family(*args)
+    with pytest.raises(ResourceCapError, match="exceed 4096 entries"):
+        grown._lookup(u)
+    assert grown._cache.offset + grown._cache.cdf.size == 4096
 
 
 def test_cdf_cache_is_shared_and_consistent(geom_half):
@@ -517,6 +570,118 @@ def test_a_futile_cdf_extension_leaves_the_head_as_it_was():
     certified = model._head.size
     model._lookup(np.array([np.nextafter(1.0, 0.0)]))
     assert model._head.size == certified > model._cache.offset + model._cache.cdf.size
+
+
+# -- block-grown inverse-CDF cache ---------------------------------------------
+
+
+def _doubling_build(model, size):
+    """Cumulative masses of outcomes 1..size as a build of whole chunks makes
+    them: chunks end at 1024 * 2**j and at the table end, and each is
+    ``base + np.cumsum(np.exp(log_pmf))``, base the mass before it."""
+    end = model.max_index() or math.inf
+    have, base, chunks = 0, 0.0, []
+    while have < size:
+        want = min(end, max(1024, 2 * have))
+        logs = model.log_pmf_array(np.arange(have + 1, want + 1, dtype=np.int64))
+        chunks.append(base + np.cumsum(np.exp(logs)))
+        have, base = want, float(chunks[-1][-1])
+    return np.concatenate(chunks)[:size]
+
+
+def _stored(model) -> int:
+    return model._cache.offset + model._cache.cdf.size
+
+
+def _assert_doubling_build(model):
+    """The cache and head bit for bit as whole-chunk builds and one
+    ``log_pmf_array`` call give them, and a guide that meets the crowding rule."""
+    cache = model._cache
+    whole = np.concatenate([np.zeros(cache.offset), cache.cdf])
+    assert whole.tobytes() == _doubling_build(model, _stored(model)).tobytes()
+    head = model._head
+    assert head.size >= _stored(model) and not head.flags.writeable
+    assert head.tobytes() == model.log_pmf_array(np.arange(1, head.size + 1, dtype=np.int64)).tobytes()
+    _, thresh = cache._build_guide()
+    assert 2**10 <= thresh.size <= 2**16
+    if thresh.size < 2**16:
+        assert np.count_nonzero(np.isnan(thresh)) <= thresh.size * dist._GUIDE_CROWDED_SHARE
+    return whole
+
+
+_TOP = np.nextafter(1.0, 0.0)
+_BLOCK_GROWN = {
+    # stops inside the chunk (2**17, 2**18], then resumes it and passes it
+    "zeta": (lambda: Zeta(2.1), [0.3, 1 - 1e-6, 1 - 2e-6, 1 - 3e-7]),
+    "geometric": (lambda: Geometric(1e-3), [0.5, 1 - 1e-9, _TOP]),
+    # the last chunk is futile near 1
+    "geometric-futile": (lambda: Geometric(0.003), [_TOP]),
+    # its first 961,846 cumulative masses are 0.0
+    "poisson-1e6": (lambda: Poisson(1e6), [0.5, 1 - 1e-12]),
+    "negbinomial": (lambda: NegativeBinomial(2.5, 0.4), [0.5, _TOP]),
+    # complete, its CDF ends below 1 at the table end
+    "table": (lambda: Tabulated(np.full(3000, (1.0 - 4e-13) / 3000)), [0.5, 0.9, 1 - 1e-13]),
+}
+
+
+@pytest.mark.parametrize("block", [None, 700])
+@pytest.mark.parametrize("name", sorted(_BLOCK_GROWN))
+def test_block_grown_cache_is_the_doubling_build(monkeypatch, name, block):
+    if block is not None:
+        monkeypatch.setattr(dist, "_CDF_BLOCK", block)
+    make, targets = _BLOCK_GROWN[name]
+    model = make()
+    for target in targets:
+        before = 0 if model._cache is None else _stored(model)
+        model._lookup(np.array([target]))
+        whole = _assert_doubling_build(model)
+        if model._cache.exhausted:
+            assert model._cache.top <= target
+        elif _stored(model) > before:
+            # the growth stopped in the block holding the first mass past the draw
+            first = int(np.searchsorted(whole, target, side="right"))
+            assert first < _stored(model) <= first + dist._CDF_BLOCK
+    if name == "table":
+        assert _stored(model) == 3000 and model._cache.exhausted
+    if name.endswith("futile"):
+        assert model._cache.exhausted and model._head.size == _stored(model)
+
+
+def test_a_growth_stops_inside_a_chunk_and_the_next_resumes_it():
+    model = Zeta(2.1)
+    model._lookup(np.array([1 - 1e-6]))
+    stopped = _stored(model)
+    assert 2**17 < stopped < 2**18 and stopped % dist._CDF_BLOCK == 0
+    assert model._head.size == stopped  # the head grew as far as the cache
+    model._lookup(np.array([1 - 3e-7]))
+    assert _stored(model) > 2**18
+    _assert_doubling_build(model)
+
+
+@pytest.mark.parametrize("block", [None, 700])
+def test_a_growth_to_a_small_cap_is_the_doubling_build(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(dist, "_CDF_BLOCK", block)
+    # not a power of two, so the last chunk ends at the cap, as at a table end
+    monkeypatch.setattr(dist, "_CDF_INDEX_CAP", 3000)
+    monkeypatch.setattr(Zeta, "_tail_mass_floor", dist.PmfModel._tail_mass_floor)
+    model = Zeta(1.5)
+    model._lookup(np.array([0.5]))
+    with pytest.raises(ResourceCapError, match="exceed 3000 entries"):
+        model._lookup(np.array([0.9999]))
+    assert _stored(model) == 3000 and not model._cache.exhausted
+    _assert_doubling_build(model)
+
+
+@pytest.mark.parametrize(
+    "model, large", [(Geometric(1e-3), True), (Poisson(1e6), True), (Zeta(2.1), False)], ids=repr
+)
+def test_wide_light_tails_keep_large_guides(model, large):
+    # entries spread over the buckets need many of them; a power law piles
+    # its entries just below 1 and keeps a small guide
+    model._lookup(np.array([1 - 1e-6]))
+    _, thresh = model._cache._build_guide()
+    assert (thresh.size >= 2**14) == large
 
 
 # -- guided inverse-CDF lookup -------------------------------------------------
