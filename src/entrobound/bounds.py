@@ -25,6 +25,7 @@ from .certify import (
     EntropyInterval,
     MomentCertificate,
     _log_pmf_sum,
+    _mass_power,
     _own_tail,
     _truncation_ladder,
     admissible_r_interval,
@@ -204,11 +205,11 @@ def mgf_exact(
         factor_lo, factor_hi = math.exp(lam * entropy.upper), math.exp(lam * entropy.lower)
         s = 1.0 - r
 
-    exponent = 1.0 + lam
+    term = _mass_power(1.0 + lam)
     partial, summed = 0.0, 0
     rungs = _truncation_ladder(model, _own_tail(model), s, 64, f"MGF tolerance {tol:g}")
     for k_cut, remainder in rungs:
-        partial += _log_pmf_sum(model, lambda lp: np.exp(exponent * lp), summed + 1, k_cut)
+        partial += _log_pmf_sum(model, term, summed + 1, k_cut)
         summed = k_cut
         lo = partial * factor_lo
         hi = (partial + remainder) * factor_hi

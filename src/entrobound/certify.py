@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import GeometricRatioTail, PmfModel, PowerLawTail, json_float, json_int
 from .errors import AdmissibilityError, MissingCertificateError, ModelError, ResourceCapError
-from .summation import indexed_chunk_sum
+from .summation import CHUNK, indexed_chunk_sum
 
 __all__ = [
     "DEFAULT_SLACK",
@@ -150,14 +150,46 @@ def power_sum_partial(model: PmfModel, r: float, k_max: int) -> float:
     """
     if not (0.0 < r < 1.0):
         raise AdmissibilityError(f"moment order r must lie in (0, 1), got {r!r}")
-    s = 1.0 - r
-    return _log_pmf_sum(model, lambda lp: np.exp(s * lp), 1, k_max)
+    return _log_pmf_sum(model, _mass_power(1.0 - r), 1, k_max)
+
+
+def _mass_power(c: float):
+    """The series term p_k**c = exp(c * log p_k), as ``term(lp, out)``."""
+
+    def term(lp: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        scaled = np.multiply(lp, c, out=out)
+        return np.exp(scaled, out=scaled)
+
+    return term
+
+
+def _entropy_term(lp: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The series term -p_k * log p_k = -exp(lp) * lp, as ``term(lp, out)``."""
+    terms = np.exp(lp, out=out)
+    np.negative(terms, out=terms)
+    return np.multiply(terms, lp, out=terms)
 
 
 def _log_pmf_sum(model: PmfModel, term, start: int, stop: int) -> float:
-    """Sum ``term(log p_k)`` over k in [start, stop] by ``indexed_chunk_sum``,
-    each chunk's log-pmf read through ``model.log_pmf_range``."""
-    return indexed_chunk_sum(lambda lo, hi: term(model.log_pmf_range(lo, hi)), start, stop)
+    """Sum ``term(log p_k, out)`` over k in [start, stop] by
+    ``indexed_chunk_sum``, each chunk's log-pmf read through
+    ``model.log_pmf_range``. A chunk inside the head's cap is a view of the
+    head and its terms a fresh array (``out`` None); chunks past the cap
+    are computed, and their terms written, into one pair of buffers that
+    every such chunk of the call reuses. ``term`` writes into ``out`` when
+    given, with the operations it would apply to a fresh array."""
+    cap = model._head_cap()
+    pair: list[np.ndarray] = []
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        if hi <= cap:
+            return term(model.log_pmf_range(lo, hi), None)
+        if not pair:
+            pair.extend(np.empty(min(CHUNK, stop - lo + 1), dtype=np.float64) for _ in range(2))
+        size = hi - lo + 1
+        return term(model.log_pmf_range(lo, hi, pair[0][:size]), pair[1][:size])
+
+    return indexed_chunk_sum(chunk, start, stop)
 
 
 def _cap_error(what: str) -> ResourceCapError:
@@ -346,7 +378,7 @@ def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float
         remainder *= scale
         if remainder <= tol:
             break
-    lower = _log_pmf_sum(model, lambda lp: -np.exp(lp) * lp, 1, k_cut)
+    lower = _log_pmf_sum(model, _entropy_term, 1, k_cut)
     return EntropyInterval(lower=lower, upper=lower + remainder, tolerance=tol)
 
 

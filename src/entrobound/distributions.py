@@ -165,7 +165,7 @@ class GeometricRatioTail(_TailCertificate):
                 f"ratio tail certificate starts at k0={self.k0}, beyond the {n} listed "
                 "masses; no anchor exists for the unlisted tail"
             )
-        log_end = None if n is None else float(model.log_pmf_range(n, n)[0])
+        log_end = None if n is None else float(model.log_pmf_array(np.asarray([n], dtype=np.int64))[0])
         log_q, denom = math.log(self.q), 1.0 - self.q**s
 
         def bound(k: int) -> float:
@@ -313,18 +313,20 @@ class _InverseCdf:
             idx.reshape(-1)[crowded] = np.minimum(found, self.cdf.size - 1)
         return idx
 
+    def _below(self, m: int) -> np.ndarray:
+        """``below[j]``, j < m, counts the entries <= j/m. An entry c is <=
+        j/m exactly when ceil(c * m) <= j, and for j < m only entries <=
+        (m-1)/m count, which skips the long tail of a heavy-tailed cache."""
+        cdf = self.cdf
+        head = cdf[: np.searchsorted(cdf, (m - 1) / m, side="right")]
+        return np.cumsum(np.bincount(np.ceil(head * m).astype(np.intp), minlength=m))
+
     def _build_guide(self) -> tuple[np.ndarray, np.ndarray]:
         cdf, last = self.cdf, self.cdf.size - 1
-        m = 1 << 10
+        ones = np.searchsorted(cdf, 1.0, side="right")
+        m, finest = 1 << 10, None
+        below = np.append(self._below(m), ones)
         while True:
-            # below[j] counts the entries <= j/m. An entry c is <= j/m exactly
-            # when ceil(c * m) <= j, and for j < m only entries <= (m-1)/m
-            # count, which skips the long tail of a heavy-tailed cache.
-            head = cdf[: np.searchsorted(cdf, (m - 1) / m, side="right")]
-            below = np.append(
-                np.cumsum(np.bincount(np.ceil(head * m).astype(np.intp), minlength=m)),
-                np.searchsorted(cdf, 1.0, side="right"),
-            )
             lo, points = below[:-1], np.diff(below)
             if m == 1 << 16 or np.count_nonzero(points > 1) <= m * _GUIDE_CROWDED_SHARE:
                 break
@@ -334,6 +336,13 @@ class _InverseCdf:
             while m * s < 1 << 16 and np.count_nonzero(points > s) > m * s * _GUIDE_CROWDED_SHARE:
                 s *= 2
             m *= s
+            # Every size past the first is read off the finest counts: for
+            # d = 2**16 / m, ceil(c * m) = ceil(ceil(c * 2**16) / d), scaling
+            # by a power of two being exact, so below[j] at m is the finest
+            # below[j * d].
+            if finest is None:
+                finest = self._below(1 << 16)
+            below = np.append(finest[:: (1 << 16) // m], ones)
         # An entry equal to (j+1)/m counts as a point of bucket j, where no
         # uniform reaches it; the comparison still gives the right index.
         thresh = np.where(points == 1, cdf[np.minimum(lo, last)], np.inf)
@@ -376,26 +385,46 @@ def _cap_message(cap: int) -> str:
     return f"inverse-CDF cache would exceed {cap} entries; the requested draw lies too deep in the tail"
 
 
+def _reserve(buf: np.ndarray | None, used: int, need: int, cap: int) -> np.ndarray:
+    """``buf`` when it has room for ``need`` entries, else a new buffer of
+    twice its capacity, at least ``need`` and at most ``cap``, holding a
+    copy of its first ``used`` entries."""
+    if buf is not None and need <= buf.size:
+        return buf
+    size = 0 if buf is None else buf.size
+    grown = np.empty(min(cap, max(need, 2 * size)), dtype=np.float64)
+    if used:
+        grown[:used] = buf[:used]
+    return grown
+
+
 class PmfModel(abc.ABC):
     """A probability mass function on {1, 2, 3, ...}.
 
     Subclasses define the log-pmf and a tail certificate; this base class
     supplies scalar lookups, equality on parameters, and inverse-CDF
-    sampling. The model's one log-pmf memo is the head, the read-only table
-    log p_1 .. log p_size, which only ``_grow_head`` extends, by appending
-    ``log_pmf_array`` on the outcomes it lacks. Scalar lookups double it
+    sampling. The model's one log-pmf memo is the head, log p_1 ..
+    log p_size: a read-only view of the filled prefix of a buffer whose
+    capacity doubles, into which ``log_pmf_array`` writes the outcomes the
+    head lacks, so growth computes no entry twice and copies entries only
+    when the capacity doubles. Scalar lookups and series ranges double it
     from 1024 outcomes up to ``CHUNK`` (8 MiB) and the table end; the
-    sampling cache of cumulative masses grows it as far as its own, a
-    block of ``_CDF_BLOCK`` outcomes at a time and only until it covers
-    the largest uniform of a lookup, up to ``_CDF_INDEX_CAP`` and the table
-    end. The cache is one record, replaced whole when it grows, so a lookup
-    never mixes two states of it; it never affects sampled values, only
-    speed. Pickling drops the cache and head.
+    sampling cache of cumulative masses grows it as far as its own, a block of
+    ``_CDF_BLOCK`` outcomes at a time and only until it covers the largest
+    uniform of a lookup, up to ``_CDF_INDEX_CAP`` and the table end. No
+    buffer's capacity passes the cap of the caller that grows it. The
+    cumulative masses grow into a buffer of their own the same way, and
+    the cache is one record viewing its filled prefix, replaced when it
+    grows, so a lookup never mixes two states of it; it never affects
+    sampled values, only speed. Pickling drops the cache, the head and
+    their buffers.
     """
 
     def __init__(self) -> None:
         self._cache: _InverseCdf | None = None
         self._head: np.ndarray | None = None
+        self._head_buf: np.ndarray | None = None
+        self._cdf_buf: np.ndarray | None = None
 
     @property
     def _cdf(self) -> np.ndarray | None:
@@ -427,36 +456,57 @@ class PmfModel(abc.ABC):
     # -- pmf ----------------------------------------------------------------
 
     @abc.abstractmethod
-    def log_pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorised natural-log pmf at integer outcomes ``ks`` (each >= 1)."""
+    def log_pmf_array(self, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Vectorised natural-log pmf at integer outcomes ``ks`` (each >= 1),
+        written into the float64 array ``out`` of the same size when given
+        (and returned), with the same operations in the same order, so the
+        values are bitwise those of a fresh array."""
+
+    def _head_cap(self) -> int:
+        """The last outcome scalar lookups and series ranges grow the head
+        to: ``CHUNK`` or the table end, whichever comes first."""
+        return min(CHUNK, self.max_index() or CHUNK)
 
     def log_pmf(self, k: int) -> float:
         """log p_k for a single outcome k >= 1, read from the head, grown to
-        hold k, when k <= min(CHUNK, max_index())."""
+        hold k, when k <= ``_head_cap()``."""
         head = self._head
         if head is None or not 1 <= k <= head.size:
-            cap = min(CHUNK, self.max_index() or CHUNK)
-            if not 1 <= k <= cap:
+            if not 1 <= k <= self._head_cap():
                 return float(self.log_pmf_array(np.asarray([k], dtype=np.int64))[0])
-            head = self._grow_head(min(cap, max(1024, 1 << (int(k) - 1).bit_length())))
+            head = self._grow_head(int(k))
         return float(head[int(k) - 1])
 
-    def log_pmf_range(self, lo: int, hi: int) -> np.ndarray:
-        """``log_pmf_array`` at the outcomes lo..hi (lo <= hi), as a read-only
-        view of the head, which it never grows, when the head holds them all."""
+    def log_pmf_range(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``log_pmf_array`` at the outcomes lo..hi (lo <= hi). A range the
+        head holds, or that lies within ``_head_cap()``, is a read-only view
+        of the head, grown to hold it as ``log_pmf`` grows it. Any other is
+        computed into ``out`` (hi - lo + 1 entries) or a fresh array, and not
+        stored."""
         head = self._head
-        if head is not None and 1 <= lo and hi <= head.size:
-            return head[lo - 1 : hi]
-        return self.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64))
+        if head is None or not (1 <= lo and hi <= head.size):
+            if not (1 <= lo and hi <= self._head_cap()):
+                return self.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64), out)
+            head = self._grow_head(hi)
+        return head[lo - 1 : hi]
 
-    def _grow_head(self, want: int) -> np.ndarray:
-        """The head, first extended to hold at least ``want`` outcomes."""
+    def _grow_head(self, k: int) -> np.ndarray:
+        """The head, first doubled from 1024 outcomes until it holds outcome
+        ``k`` (at most ``_head_cap()``), computing only the outcomes it lacks."""
+        cap = self._head_cap()
+        want = min(cap, max(1024, 1 << (k - 1).bit_length()))
         have = 0 if self._head is None else self._head.size
         if want > have:
-            new = self.log_pmf_array(np.arange(have + 1, want + 1, dtype=np.int64))
-            self._head = new if self._head is None else np.concatenate([self._head, new])
-            self._head.setflags(write=False)
+            buf = self._head_buf = _reserve(self._head_buf, have, want, cap)
+            self.log_pmf_array(np.arange(have + 1, want + 1, dtype=np.int64), buf[have:want])
+            self._fill_head(want)
         return self._head
+
+    def _fill_head(self, size: int) -> None:
+        """Publish the first ``size`` entries of the head buffer as the head."""
+        head = self._head_buf[:size]
+        head.setflags(write=False)
+        self._head = head
 
     def _check_indices(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
@@ -549,22 +599,26 @@ class PmfModel(abc.ABC):
         that passes ``target``; the record keeps the carry for the next
         growth. A chunk that leaves its positive base unchanged finds the
         tail below float resolution: it is futile, dropped whole, and the
-        cache is exhausted. The head supplies each log-mass it holds, gets
-        the ones computed here appended, and loses none.
+        cache is exhausted. The cumulative masses and the log-masses the
+        head lacks are written past the filled prefixes of their buffers,
+        which only the new record and head then view; the head supplies
+        each log-mass it holds and loses none.
         """
-        cache, head = self._cache, self._head
+        cache = self._cache
         end = self.max_index()
         cap = _CDF_INDEX_CAP if end is None else end
-        have = 0 if cache is None else cache.offset + cache.cdf.size
-        top = 0.0 if cache is None else cache.top
-        base, carry = (0.0, 0.0) if cache is None else (cache.base, cache.carry)
-        known = 0 if head is None else head.size
+        if cache is None:
+            offset, stored, top, base, carry = 0, 0, 0.0, 0.0, 0.0
+        else:
+            offset, stored, top = cache.offset, cache.cdf.size, cache.top
+            base, carry = cache.base, cache.carry
+        have = before = offset + stored
+        known = 0 if self._head is None else self._head.size
+        head, sums = self._head_buf, self._cdf_buf
         # scratch[0] holds the carry and scratch[1:] a block's masses, so one
         # cumsum continues the chunk's running sum
         scratch = np.empty(_CDF_BLOCK + 1, dtype=np.float64)
-        sums: list[np.ndarray] = []  # the new cumulative masses, block by block
-        logs: list[np.ndarray] = []  # the new head entries, block by block
-        chunk = (0, 0)  # where in sums and logs the current chunk starts
+        chunk = have  # where the current chunk, or this growth, starts
         exhausted = capped = False
         while top <= target:
             if have >= cap:
@@ -574,38 +628,47 @@ class PmfModel(abc.ABC):
             start = 0 if have < 1024 else 1 << (have.bit_length() - 1)
             chunk_end = min(cap, max(1024, 2 * start))
             if have == start:
-                base, carry, chunk = top, 0.0, (len(sums), len(logs))
+                base, carry, chunk = top, 0.0, have
             stop = min(chunk_end, have + _CDF_BLOCK)
             size = stop - have
-            read = max(0, min(known, stop) - have)  # outcomes the head holds
-            if read:
-                np.exp(head[have : have + read], out=scratch[1 : read + 1])
-            if read < size:
-                logs.append(self.log_pmf_array(np.arange(have + read + 1, stop + 1, dtype=np.int64)))
-                np.exp(logs[-1], out=scratch[read + 1 : size + 1])
+            if stop > known:  # the head lacks outcomes new .. stop
+                new = max(known, have)
+                head = _reserve(head, new, stop, cap)
+                self.log_pmf_array(np.arange(new + 1, stop + 1, dtype=np.int64), head[new:stop])
+            np.exp(head[have:stop], out=scratch[1 : size + 1])
             scratch[0] = carry
             np.cumsum(scratch[: size + 1], out=scratch[: size + 1])
             carry = float(scratch[size])
-            sums.append(scratch[1 : size + 1] + base)
-            have, top = stop, float(sums[-1][-1])
+            masses = scratch[1 : size + 1]
+            if not stored:
+                # outcomes whose cumulative mass is exactly 0.0 (base is 0.0
+                # too) join the offset instead
+                zeros = int(np.searchsorted(masses, 0.0, side="right"))
+                offset, masses = offset + zeros, masses[zeros:]
+            sums = _reserve(sums, stored, stored + masses.size, cap - offset)
+            np.add(masses, base, out=sums[stored : stored + masses.size])
+            stored += masses.size
+            have = stop
+            top = float(sums[stored - 1]) if stored else 0.0
             if stop == chunk_end and base > 0.0 and top <= base:
-                del sums[chunk[0] :], logs[chunk[1] :]
+                have = chunk
+                stored = have - offset
                 exhausted = True
                 break
-        if sums:
-            offset = 0 if cache is None else cache.offset
-            grown = np.concatenate(sums if cache is None else [cache.cdf, *sums])
-            cache = self._cache = _InverseCdf(grown, offset, base, carry)
-        if logs:
-            self._head = np.concatenate(logs if head is None else [head, *logs])
-            self._head.setflags(write=False)
+        self._head_buf, self._cdf_buf = head, sums
+        if max(known, have) > known:
+            self._fill_head(max(known, have))
+        if have > before:
+            cdf = sums[:stored]
+            cdf.setflags(write=False)
+            cache = self._cache = _InverseCdf(cdf, offset, base, carry)
         if exhausted:
             cache.exhausted = True
         if capped:
             raise ResourceCapError(_cap_message(cap))
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_cache": None, "_head": None}
+        return {**self.__dict__, "_cache": None, "_head": None, "_head_buf": None, "_cdf_buf": None}
 
 
 class Poisson(PmfModel):
@@ -623,9 +686,14 @@ class Poisson(PmfModel):
     def describe(self) -> str:
         return f"poisson:{self.rate!r}"
 
-    def log_pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        counts = self._check_indices(ks).astype(np.float64) - 1.0
-        return -self.rate + counts * math.log(self.rate) - _special().gammaln(counts + 1.0)
+    def log_pmf_array(self, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # -rate + counts * log(rate) - gammaln(counts + 1), in place
+        counts = np.subtract(self._check_indices(ks), 1.0, out=out)
+        factorial = np.add(counts, 1.0)
+        _special().gammaln(factorial, out=factorial)
+        logs = np.multiply(counts, math.log(self.rate), out=counts)
+        np.add(logs, -self.rate, out=logs)
+        return np.subtract(logs, factorial, out=logs)
 
     def tail_certificate(self) -> GeometricRatioTail:
         # Successive masses shrink by rate/k, which is at most one half for
@@ -664,9 +732,11 @@ class Geometric(PmfModel):
     def describe(self) -> str:
         return f"geometric:{self.prob!r}"
 
-    def log_pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        ks = self._check_indices(ks).astype(np.float64)
-        return (ks - 1.0) * math.log1p(-self.prob) + math.log(self.prob)
+    def log_pmf_array(self, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # (ks - 1) * log1p(-prob) + log(prob), in place
+        logs = np.subtract(self._check_indices(ks), 1.0, out=out)
+        np.multiply(logs, math.log1p(-self.prob), out=logs)
+        return np.add(logs, math.log(self.prob), out=logs)
 
     def tail_certificate(self) -> GeometricRatioTail:
         return GeometricRatioTail(k0=1, q=1.0 - self.prob)
@@ -708,16 +778,44 @@ class NegativeBinomial(PmfModel):
     def describe(self) -> str:
         return f"negbinomial:{self.size!r},{self.prob!r}"
 
-    def log_pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        counts = self._check_indices(ks).astype(np.float64) - 1.0
+    def log_pmf_array(self, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # gammaln(counts + size) - gammaln(size) - gammaln(counts + 1)
+        # + size * log1p(-prob) + counts * log(prob), in this order, in place
+        counts = np.subtract(self._check_indices(ks), 1.0, out=out)
         gammaln = _special().gammaln
-        return (
-            gammaln(counts + self.size)
-            - gammaln(self.size)
-            - gammaln(counts + 1.0)
-            + self.size * math.log1p(-self.prob)
-            + counts * math.log(self.prob)
-        )
+        logs = np.add(counts, self.size)
+        gammaln(logs, out=logs)
+        np.subtract(logs, gammaln(self.size), out=logs)
+        factorial = np.add(counts, 1.0)
+        gammaln(factorial, out=factorial)
+        np.subtract(logs, factorial, out=logs)
+        np.add(logs, self.size * math.log1p(-self.prob), out=logs)
+        np.multiply(counts, math.log(self.prob), out=counts)
+        return np.add(logs, counts, out=counts)
+
+    def _tail_mass_floor(self, k: int) -> float:
+        # The mass past outcome k is P(N >= k) = 1 - P(N <= x), x = k - 1.
+        # For x below the mean size * prob / (1 - prob), the Chernoff bound
+        # from the MGF, P(N <= x) <= min over z in (0, 1] of z**-x *
+        # ((1 - prob) / (1 - prob * z))**size, is attained at z = x / (prob
+        # * (size + x)) and equals exp(gain - loss), with gain = x *
+        # log1p(size / x) + size * log1p(x / size) and loss = -(x * log(prob)
+        # + size * log1p(-prob)), both nonnegative. The exponent is widened by
+        # 2**-48 of gain + loss, far above the rounding of its terms, and the
+        # result is rounded down. A positive floor also needs the masses of
+        # outcomes 1..k to rise: each ratio (count + size) / (count + 1) *
+        # prob, count < x, is at least the last, (x - 1 + size) / x * prob,
+        # checked here to be over 1 with a margin past its rounding. Then a
+        # doubling (h, 2h] with 2h <= k adds at least its base, which is no
+        # futile growth. The last ratio over 1 puts x below the mode, so
+        # below the mean.
+        x, size, prob = k - 1.0, self.size, self.prob
+        if not (x - 1.0 + size) * prob > x * (1.0 + 2.0**-48):
+            return 0.0
+        gain = x * math.log1p(size / x) + size * math.log1p(x / size) if x > 0.0 else 0.0
+        loss = -(x * math.log(prob) + size * math.log1p(-prob))
+        exponent = min(0.0, gain - loss + 2.0**-48 * (gain + loss))
+        return -math.expm1(exponent) * (1.0 - 2.0**-50)
 
     def _mass_ratio(self, k: int) -> float:
         # p_{k+1} / p_k with count c = k - 1 equals (c + size) / (c + 1) * prob.
@@ -774,9 +872,11 @@ class Zeta(PmfModel):
     def describe(self) -> str:
         return f"zeta:{self.exponent!r}"
 
-    def log_pmf_array(self, ks: np.ndarray) -> np.ndarray:
-        ks = self._check_indices(ks).astype(np.float64)
-        return -self.exponent * np.log(ks) - math.log(self._zeta_value)
+    def log_pmf_array(self, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # -exponent * log(ks) - log(zeta(exponent)), in place
+        logs = np.log(self._check_indices(ks), out=out, dtype=np.float64)
+        np.multiply(logs, -self.exponent, out=logs)
+        return np.subtract(logs, math.log(self._zeta_value), out=logs)
 
     def tail_certificate(self) -> PowerLawTail:
         return PowerLawTail(k0=1, c0=1.0 / self._zeta_value, alpha=self.exponent)
@@ -867,14 +967,15 @@ class Tabulated(PmfModel):
     def max_index(self) -> int:
         return int(self.masses.size)
 
-    def log_pmf_array(self, ks: np.ndarray) -> np.ndarray:
+    def log_pmf_array(self, ks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         ks = self._check_indices(ks)
         if ks.size and int(ks.max()) > self.masses.size:
             raise ModelError(
                 f"mass unknown: outcome {int(ks.max())} lies beyond the "
                 f"{self.masses.size} listed masses and no exact tail is available"
             )
-        return np.log(self.masses[ks - 1])
+        masses = np.take(self.masses, ks - 1, out=out)
+        return np.log(masses, out=masses)
 
     def tail_certificate(self) -> PowerLawTail | GeometricRatioTail:
         if self.tail is None:

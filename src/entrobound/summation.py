@@ -37,13 +37,19 @@ def indexed_chunk_sum(
 ) -> float:
     """Sum the terms for integer k in ``[start, stop]`` without materialising
     the whole range: ``term(lo, hi)`` returns the array of terms for k in
-    ``[lo, hi]``, one chunk of at most ``CHUNK`` indices at a time."""
+    ``[lo, hi]``, one chunk of at most ``CHUNK`` indices at a time.
+
+    Each chunk's total is one pairwise ``np.add.reduce``; the totals are
+    combined with ``math.fsum``. A range of one chunk returns its total
+    directly, which is exact: ``math.fsum`` of one float is that float."""
     if stop < start:
         return 0.0
+    if stop - start < CHUNK:
+        return float(np.add.reduce(term(start, stop)))
     parts = []
     lo = start
     while lo <= stop:
         hi = min(lo + CHUNK - 1, stop)
-        parts.append(float(np.sum(term(lo, hi))))
+        parts.append(float(np.add.reduce(term(lo, hi))))
         lo = hi + 1
     return math.fsum(parts)

@@ -352,9 +352,18 @@ _ORDER_MODELS = {
 def _results(make, warm: str | None):
     """Each entry point on its own model, fresh (``None``), with a head
     already filled by a deeper scalar lookup (``"head"``), or with a head
-    the sampler grew first (``"sampler"``), past 2**20 outcomes on zeta."""
+    the sampler grew first (``"sampler"``), past 2**20 outcomes on zeta.
+    With ``"series"`` every entry point runs, in turn, on one model whose
+    head the entropy series grew first, to 2**20 outcomes on zeta."""
+    eps = 1e-2 if isinstance(make(), Zeta) else 1e-6
+    if warm == "series":
+        shared = make()
+        entropy_interval(shared, certify_moment(make(), eps=eps), 1e-6)
+        assert shared._head.size == 2**20 or not isinstance(shared, Zeta)
 
     def model():
+        if warm == "series":
+            return shared
         m = make()
         if warm == "head":
             m.log_pmf(min(2**20, m.max_index() or 2**20))
@@ -363,18 +372,23 @@ def _results(make, warm: str | None):
             assert m._head.size > 2**20 or not isinstance(m, Zeta)
         return m
 
-    eps = 1e-2 if isinstance(make(), Zeta) else 1e-6
     cert = certify_moment(model(), eps=eps)
     entropy = entropy_interval(model(), cert, 1e-6)
     mgf = [mgf_exact(model(), cert, entropy, x * cert.r, tol=1e-6) for x in (-0.8, -0.3, 0.4, 0.8)]
     # at r = 0.54 the zeta sums run past 2**20 outcomes (k1 = 1,440,992)
     deep = certify_moment(model(), r=0.54, eps=eps)
-    return cert, entropy, mgf, deep, select_r(model(), eps=eps, target_eps=0.2)
+    selected = select_r(model(), eps=eps, target_eps=0.2)
+    # then a sample, where the model can draw one
+    m = model()
+    drawn = None if m.max_index() and not m.is_complete() else m.sample(3, 2000).tobytes()
+    return cert, entropy, mgf, deep, selected, drawn
 
 
 @pytest.mark.parametrize("name", sorted(_ORDER_MODELS))
 def test_results_do_not_depend_on_a_warm_head(name):
-    cold = _results(_ORDER_MODELS[name], warm=None)
-    assert _results(_ORDER_MODELS[name], warm="head") == cold
+    make = _ORDER_MODELS[name]
+    cold = _results(make, warm=None)
+    assert _results(make, warm="head") == cold
+    assert _results(make, warm="series") == cold
     if name != "ratio-table":  # a table with unlisted mass refuses to sample
-        assert _results(_ORDER_MODELS[name], warm="sampler") == cold
+        assert _results(make, warm="sampler") == cold

@@ -43,7 +43,7 @@ from entrobound import (
     entropy_upper_coarse,
     power_sum_partial,
 )
-from entrobound.summation import indexed_chunk_sum
+from entrobound.summation import CHUNK, indexed_chunk_sum
 
 SQRT2_PLUS_1 = 2.414213562373095
 # zeta(1.5) / zeta(2)**0.75 and 1/zeta(2), both from mpmath at 50 digits
@@ -141,6 +141,34 @@ def test_power_sum_partial_matches_direct_sum(geom_half):
         math.exp(0.5 * geom_half.log_pmf(k)) for k in range(1, 201)
     )
     assert power_sum_partial(geom_half, 0.5, 200) == pytest.approx(direct, rel=1e-14)
+
+
+def _per_chunk_sum(model, term, start, stop):
+    """A series summed as the package summed it before the head served sums:
+    every chunk of ``CHUNK`` outcomes from a fresh ``log_pmf_array``, its
+    terms a fresh array, ``np.sum`` per chunk and ``math.fsum`` over them."""
+    parts = []
+    for lo in range(start, stop + 1, CHUNK):
+        hi = min(lo + CHUNK - 1, stop)
+        parts.append(float(np.sum(term(model.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64))))))
+    return math.fsum(parts)
+
+
+@pytest.mark.parametrize("warm", [None, "head", "sampler"])
+def test_series_across_chunk_equal_the_per_chunk_reference(warm):
+    model = Zeta(2.5)
+    if warm == "head":
+        model.log_pmf(2**20)
+    elif warm == "sampler":
+        model._lookup(np.array([1 - 1e-10]))  # a head past CHUNK
+        assert model._head.size > CHUNK
+    stop, s, lam = CHUNK + 5000, 1.0 - 0.3, -0.25
+    assert power_sum_partial(model, 0.3, stop) == _per_chunk_sum(model, lambda lp: np.exp(s * lp), 1, stop)
+    entropy = certify_module._log_pmf_sum(model, certify_module._entropy_term, 1, stop)
+    assert entropy == _per_chunk_sum(model, lambda lp: -np.exp(lp) * lp, 1, stop)
+    # an MGF rung's range, starting inside the head's cap and ending past it
+    mgf = certify_module._log_pmf_sum(model, certify_module._mass_power(1.0 + lam), 2**19 + 1, 2**21 + 7)
+    assert mgf == _per_chunk_sum(model, lambda lp: np.exp((1.0 + lam) * lp), 2**19 + 1, 2**21 + 7)
 
 
 def _mp_tail_power_sum(model, k, s):

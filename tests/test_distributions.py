@@ -31,6 +31,8 @@ from entrobound import (
     Tabulated,
     Zeta,
     certify_moment,
+    entropy_interval,
+    mgf_exact,
     power_sum_partial,
     tail_from_dict,
 )
@@ -368,7 +370,40 @@ def test_poisson_tail_mass_floor_is_a_lower_bound(rate):
     assert model._tail_mass_floor(1) > 0.0 and model._tail_mass_floor(int(rate) + 2) == 0.0
 
 
-@pytest.mark.parametrize("model", [Geometric(1e-9), Poisson(2e8)], ids=repr)
+@pytest.mark.parametrize("size, prob", [(2.5, 0.4), (50.0, 0.9), (1e4, 0.5), (3.0, 0.999), (2e8, 0.5)])
+def test_negative_binomial_tail_mass_floor_is_a_lower_bound(size, prob):
+    model = NegativeBinomial(size, prob)
+    mode = (size - 1.0) * prob / (1.0 - prob)
+    ks = (1, 2, 10, int(mode / 2) + 1, int(mode), int(mode) + 2, dist._CDF_INDEX_CAP)
+    with mpmath.workdps(40):
+        n, p = mpmath.mpf(size), mpmath.mpf(prob)  # their exact binary values
+        for k in ks:
+            floor, x = model._tail_mass_floor(k), k - 1
+            assert floor >= 0.0
+            if floor == 0.0:
+                continue
+            # the mass past outcome k is that of the counts x + 1, x + 2, ...
+            if x <= 20000:
+                below, mass = 0, (1 - p) ** n
+                for count in range(x + 1):
+                    below += mass
+                    mass *= (count + n) / (count + 1) * p
+                past = 1 - below
+            else:
+                # the masses of counts 0..x rise, so they sum to at most x + 1
+                # times the last
+                assert (x - 1 + n) * p >= x
+                last = mpmath.exp(
+                    mpmath.loggamma(x + n) - mpmath.loggamma(n) - mpmath.loggamma(x + 1)
+                    + n * mpmath.log1p(-p) + x * mpmath.log(p)
+                )
+                past = 1 - (x + 1) * last
+            assert floor <= past
+    # a floor past outcome 1, and none past the mode
+    assert model._tail_mass_floor(1) > 0.0 and model._tail_mass_floor(int(mode) + 2) == 0.0
+
+
+@pytest.mark.parametrize("model", [Geometric(1e-9), Poisson(2e8), NegativeBinomial(2e8, 0.5)], ids=repr)
 def test_light_tail_cap_trips_before_the_cache_grows(model):
     tracemalloc.start()
     try:
@@ -380,7 +415,9 @@ def test_light_tail_cap_trips_before_the_cache_grows(model):
     assert peak < 64 * 2**20
 
 
-@pytest.mark.parametrize("family, args", [(Geometric, (1e-4,)), (Poisson, (1e4,))])
+@pytest.mark.parametrize(
+    "family, args", [(Geometric, (1e-4,)), (Poisson, (1e4,)), (NegativeBinomial, (2e4, 0.5))]
+)
 def test_light_tail_early_refusal_is_where_growth_reaches_the_cap(monkeypatch, family, args):
     monkeypatch.setattr(dist, "_CDF_INDEX_CAP", 4096)
     u = np.array([0.5])
@@ -477,16 +514,20 @@ def test_head_sizes_at_the_doubling_edges(k):
 def test_ranges_read_the_head_they_lie_in():
     model = Geometric(0.001)
     power_sum_partial(model, 0.5, 5000)
-    assert model._head is None  # ranges read the head but never grow it
-    model.log_pmf(5)
+    assert model._head.size == 8192  # a series grows the head as a scalar lookup would
     view = model.log_pmf_range(3, 1024)
     assert not view.flags.writeable
     direct = model.log_pmf_array(np.arange(3, 1025, dtype=np.int64))
     assert view.tobytes() == direct.tobytes()
-    crossing = model.log_pmf_range(1000, 1030)
-    assert crossing.flags.writeable  # past the head's end, computed directly
-    assert crossing.tobytes() == model.log_pmf_array(np.arange(1000, 1031, dtype=np.int64)).tobytes()
-    assert model._head.size == 1024
+    crossing = model.log_pmf_range(8000, 8200)  # past the head's end, within the cap
+    assert not crossing.flags.writeable and model._head.size == 16384
+    assert crossing.tobytes() == model.log_pmf_array(np.arange(8000, 8201, dtype=np.int64)).tobytes()
+    # past the cap, computed into the buffer given and not stored
+    out = np.empty(40)
+    past = model.log_pmf_range(2**20 - 9, 2**20 + 30, out)
+    assert past is out
+    assert past.tobytes() == model.log_pmf_array(np.arange(2**20 - 9, 2**20 + 31, dtype=np.int64)).tobytes()
+    assert model._head.size == 16384
 
 
 def test_head_stops_at_chunk_and_table_end():
@@ -531,11 +572,13 @@ def test_head_refuses_outcomes_below_one(warm):
 def test_models_pickle_without_head():
     model = Poisson(3.0)
     model.log_pmf(2**20)
-    assert model._head.nbytes == 8 * 2**20
+    model.sample(0, 10)
+    assert model._head.nbytes == 8 * 2**20 and model._cdf_buf is not None
     blob = pickle.dumps(model)
     assert len(blob) < 4096
     clone = pickle.loads(blob)
     assert clone == model and clone._head is None
+    assert clone._head_buf is None and clone._cdf_buf is None
     assert clone.log_pmf(77) == model.log_pmf(77)
 
 
@@ -543,9 +586,9 @@ def test_certify_then_sample_computes_each_log_mass_once(monkeypatch):
     terms = []
     original = Geometric.log_pmf_array
 
-    def counted(self, ks):
+    def counted(self, ks, out=None):
         terms.append(len(ks))
-        return original(self, ks)
+        return original(self, ks, out)
 
     monkeypatch.setattr(Geometric, "log_pmf_array", counted)
     model = Geometric(0.002)
@@ -570,6 +613,62 @@ def test_a_futile_cdf_extension_leaves_the_head_as_it_was():
     certified = model._head.size
     model._lookup(np.array([np.nextafter(1.0, 0.0)]))
     assert model._head.size == certified > model._cache.offset + model._cache.cdf.size
+
+
+def _one_expression_log_pmf(model, ks):
+    """Each family's log-pmf as one numpy expression on fresh arrays, the way
+    ``log_pmf_array`` computed it before it could write into a buffer."""
+    if isinstance(model, Tabulated):
+        return np.log(model.masses[ks - 1])
+    ks = ks.astype(np.float64)
+    if isinstance(model, Geometric):
+        return (ks - 1.0) * math.log1p(-model.prob) + math.log(model.prob)
+    if isinstance(model, Zeta):
+        return -model.exponent * np.log(ks) - math.log(model._zeta_value)
+    counts, gammaln = ks - 1.0, scipy.special.gammaln
+    if isinstance(model, Poisson):
+        return -model.rate + counts * math.log(model.rate) - gammaln(counts + 1.0)
+    return (
+        gammaln(counts + model.size)
+        - gammaln(model.size)
+        - gammaln(counts + 1.0)
+        + model.size * math.log1p(-model.prob)
+        + counts * math.log(model.prob)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_head_models, st.lists(st.integers(1, 5000), min_size=1, max_size=300), st.integers(0, 3))
+def test_log_pmf_array_into_a_buffer_is_bitwise_a_fresh_array(model, ks, skip):
+    ks = np.minimum(np.asarray(ks, dtype=np.int64), model.max_index() or 5000)
+    fresh = model.log_pmf_array(ks)
+    assert fresh.tobytes() == _one_expression_log_pmf(model, ks).tobytes()
+    # a view into a larger buffer, at any offset, as the head and the sums pass
+    buf = np.full(ks.size + skip + 2, np.nan)
+    out = buf[skip : skip + ks.size]
+    assert model.log_pmf_array(ks, out=out) is out
+    assert out.tobytes() == fresh.tobytes()
+    assert np.isnan(buf[:skip]).all() and np.isnan(buf[skip + ks.size :]).all()
+
+
+def test_series_and_sampling_compute_each_log_mass_at_most_once(monkeypatch):
+    computed = []
+    original = Zeta.log_pmf_array
+
+    def counted(self, ks, out=None):
+        computed.append(np.array(ks, dtype=np.int64))
+        return original(self, ks, out)
+
+    monkeypatch.setattr(Zeta, "log_pmf_array", counted)
+    model = Zeta(3.0)
+    cert = certify_moment(model, eps=1e-3)
+    interval = entropy_interval(model, cert, 1e-4)
+    for x in (-0.9, -0.6, -0.3, -0.1, 0.1, 0.3, 0.6, 0.9):
+        mgf_exact(model, cert, interval, x * cert.r, tol=1e-4)
+    model.sample(0, 5000)
+    ks = np.concatenate(computed)
+    assert np.unique(ks).size == ks.size  # no outcome computed twice
+    assert model._head.size == ks.size  # and every one computed is kept
 
 
 # -- block-grown inverse-CDF cache ---------------------------------------------
@@ -645,6 +744,43 @@ def test_block_grown_cache_is_the_doubling_build(monkeypatch, name, block):
         assert _stored(model) == 3000 and model._cache.exhausted
     if name.endswith("futile"):
         assert model._cache.exhausted and model._head.size == _stored(model)
+
+
+def _trial_by_trial_guide(cache):
+    """The guide as built before the finest counts were shared: the bucket
+    counts recounted from the CDF entries at every trial size."""
+    cdf, last = cache.cdf, cache.cdf.size - 1
+    m = 1 << 10
+    while True:
+        head = cdf[: np.searchsorted(cdf, (m - 1) / m, side="right")]
+        below = np.append(
+            np.cumsum(np.bincount(np.ceil(head * m).astype(np.intp), minlength=m)),
+            np.searchsorted(cdf, 1.0, side="right"),
+        )
+        lo, points = below[:-1], np.diff(below)
+        if m == 1 << 16 or np.count_nonzero(points > 1) <= m * dist._GUIDE_CROWDED_SHARE:
+            break
+        s = 2
+        while m * s < 1 << 16 and np.count_nonzero(points > s) > m * s * dist._GUIDE_CROWDED_SHARE:
+            s *= 2
+        m *= s
+    thresh = np.where(points == 1, cdf[np.minimum(lo, last)], np.inf)
+    thresh[points > 1] = np.nan
+    thresh[lo >= last] = np.inf
+    return np.minimum(lo, last).astype(np.intp, copy=False), thresh
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Geometric(1e-4), Geometric(1e-3), Poisson(1e6), Zeta(2.1), Tabulated(np.full(3000, 1.0 / 3000))],
+    ids=repr,
+)
+def test_guide_from_the_finest_counts_is_the_trial_by_trial_build(model):
+    model._lookup(np.random.default_rng(0).random(400_000))
+    lo, thresh = model._cache._build_guide()
+    want_lo, want_thresh = _trial_by_trial_guide(model._cache)
+    assert lo.dtype == want_lo.dtype and np.array_equal(lo, want_lo)
+    assert thresh.tobytes() == want_thresh.tobytes()
 
 
 def test_a_growth_stops_inside_a_chunk_and_the_next_resumes_it():
