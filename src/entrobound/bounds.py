@@ -24,12 +24,12 @@ from .certify import (
     DEFAULT_SLACK,
     EntropyInterval,
     MomentCertificate,
+    _certify_orders,
     _log_pmf_sum,
     _mass_power,
     _own_tail,
     _truncation_ladder,
     admissible_r_interval,
-    certify_moment,
     default_r,
 )
 from .distributions import PmfModel
@@ -207,7 +207,7 @@ def mgf_exact(
 
     term = _mass_power(1.0 + lam)
     partial, summed = 0.0, 0
-    rungs = _truncation_ladder(model, _own_tail(model), s, 64, f"MGF tolerance {tol:g}")
+    rungs = _truncation_ladder(model, _own_tail(model), s, 64, lambda: f"MGF tolerance {tol:g}")
     for k_cut, remainder in rungs:
         partial += _log_pmf_sum(model, term, summed + 1, k_cut)
         summed = k_cut
@@ -235,7 +235,10 @@ def select_r(
     for a complete table without a tail). With one, a 21-point grid over
     the admissible interval is certified and the order minimising
     c1 + c2 * target_eps wins; grid points whose certification exceeds
-    the truncation budget are skipped.
+    the truncation budget are skipped. Each grid point's certificate is
+    the one ``certify_moment`` gives, bit for bit; the model's tail is
+    resolved once, and on the truncation ladder the grid shares one walk up
+    it, for its largest order, and one read of the log-mass memo.
     """
     tail = _own_tail(model)
     if target_eps is None:
@@ -243,15 +246,15 @@ def select_r(
     if not (target_eps > 0 and math.isfinite(target_eps)):
         raise ValueError(f"target radius must be positive and finite, got {target_eps!r}")
     _, r_max = admissible_r_interval(tail)
+    grid = [r_max * i / 22.0 for i in range(1, 22)]
     best_r, best_objective = None, math.inf
     failure: Exception | None = None
-    for i in range(1, 22):
-        r = r_max * i / 22.0
-        try:
-            cert = certify_moment(model, r=r, eps=eps)
-        except (ResourceCapError, AdmissibilityError) as exc:
-            failure = exc
+    for r, cert in zip(grid, _certify_orders(model, tail, grid, eps)):
+        if isinstance(cert, (ResourceCapError, AdmissibilityError)):
+            failure = cert
             continue
+        if isinstance(cert, Exception):
+            raise cert
         constants = bernstein_constants(cert)
         objective = constants.c1 + constants.c2 * target_eps
         if objective < best_objective:

@@ -17,9 +17,9 @@ no remainder past its end, so it is certified with or without a tail.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -105,8 +105,12 @@ class MomentCertificate:
             raise ModelError(f"moment certificate has a malformed value: {exc}") from None
         return cls(**fields)
 
+    def to_json(self) -> str:
+        """The saved form: indented JSON with sorted keys and a final newline."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "MomentCertificate":
@@ -172,12 +176,17 @@ def _entropy_term(lp: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 
 def _log_pmf_sum(model: PmfModel, term, start: int, stop: int) -> float:
     """Sum ``term(log p_k, out)`` over k in [start, stop] by
-    ``indexed_chunk_sum``, each chunk's log-pmf read through
-    ``model.log_pmf_range``. A chunk inside the head's cap is a view of the
-    head and its terms a fresh array (``out`` None); chunks past the cap
-    are computed, and their terms written, into one pair of buffers that
-    every such chunk of the call reuses. ``term`` writes into ``out`` when
-    given, with the operations it would apply to a fresh array."""
+    ``indexed_chunk_sum``. A range of one chunk that the head already holds
+    reads it directly, with no more set-up than a slice. Otherwise each
+    chunk's log-pmf is read through ``model.log_pmf_range``: a chunk inside
+    the head's cap is a view of the head and its terms a fresh array (``out``
+    None); chunks past the cap are computed, and their terms written, into
+    one pair of buffers that every such chunk of the call reuses. ``term``
+    writes into ``out`` when given, with the operations it would apply to a
+    fresh array."""
+    head = model._head
+    if head is not None and stop <= head.size and stop - start < CHUNK:
+        return indexed_chunk_sum(lambda lo, hi: term(head[lo - 1 : hi], None), start, stop)
     cap = model._head_cap()
     pair: list[np.ndarray] = []
 
@@ -201,14 +210,15 @@ def _truncation_ladder(
     tail: PowerLawTail | GeometricRatioTail | None,
     s: float,
     k_min: int,
-    what: str,
+    what: Callable[[], str],
 ):
     """Yield rungs ``(k, bound on sum_{j > k} p_j**s)`` at k = max(k_min, k0)
     times 1, 2, 4, ..., clamped (when at least k0) to the table end and to
     ``TRUNCATION_CAP``. A complete table needs no ``tail`` and is one rung
     at its end with remainder 0.0. Asked past its last rung, the ladder
-    raises: a ``ModelError`` that ``what`` is unreachable with the listed
-    masses at a table end, a ``ResourceCapError`` naming ``what`` at the cap.
+    raises: a ``ModelError`` that ``what()`` is unreachable with the listed
+    masses at a table end, a ``ResourceCapError`` naming ``what()`` at the
+    cap. ``what`` formats its description only then, not on every walk.
     """
     end = model.max_index()
     if model.is_complete():
@@ -223,8 +233,8 @@ def _truncation_ladder(
         if tail.k0 <= stop:
             yield stop, remainder(stop)
         if end is None:
-            raise _cap_error(what)
-    raise ModelError(f"{what} is unreachable with only {end} listed masses")
+            raise _cap_error(what())
+    raise ModelError(f"{what()} is unreachable with only {end} listed masses")
 
 
 def _certification_tail(model: PmfModel, tail, shape: type, r: float, eps: float):
@@ -263,7 +273,7 @@ def certify_moment_powerlaw(
     """
     tail = _certification_tail(model, tail, PowerLawTail, r, eps)
     if model.max_index() is not None:
-        return _certify_on_ladder(model, tail, r, eps, "powerlaw")
+        return _only(_certify_on_ladder(model, tail, [r], eps, "powerlaw"))
     decay = tail.alpha * (1.0 - r) - 1.0
     try:
         raw = (eps * decay / tail.c0) ** (-1.0 / decay)
@@ -293,39 +303,103 @@ def certify_moment_ratio(
     A complete table needs no remainder past its last listed mass.
     """
     tail = _certification_tail(model, tail, GeometricRatioTail, r, eps)
-    return _certify_on_ladder(model, tail, r, eps, "ratio")
+    return _only(_certify_on_ladder(model, tail, [r], eps, "ratio"))
+
+
+def _only(results: list) -> MomentCertificate:
+    """The one certificate in ``results``, or the error that replaced it, raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _certify_on_ladder(
     model: PmfModel,
     tail: PowerLawTail | GeometricRatioTail | None,
-    r: float,
+    rs: list[float],
     eps: float,
     provenance: str,
-) -> MomentCertificate:
-    """C_r summed through the smallest m >= max(k0, 1) whose remainder
-    bound under ``tail`` is at most eps, plus eps. A complete table is one
-    rung at its end with remainder 0.0, so m never passes the end, and
-    without a tail m is the end."""
-    s = 1.0 - r
-    lo = 0 if tail is None else max(tail.k0, 1) - 1
-    for hi, remainder in _truncation_ladder(model, tail, s, 1, f"slack {eps:g} at r={r:g}"):
-        if remainder <= eps:
-            break
-        lo = hi
-    if tail is None or lo >= hi:
-        # Without a tail, or with k0 past a complete table's end, the end
-        # is the only cut.
-        m = hi
+) -> list[MomentCertificate | Exception]:
+    """A certificate for each order in ``rs``: C_r summed through the
+    smallest m >= max(k0, 1) whose remainder bound under ``tail`` is at most
+    eps, plus eps. An order whose m lies past the ladder's last rung gets the
+    ``ResourceCapError`` or ``ModelError`` the ladder raised in its place, as
+    does one whose bound the tail refuses (``AdmissibilityError``). A
+    complete table is one rung at its end with remainder 0.0, so m never
+    passes the end, and without a tail m is the end.
+
+    The orders share one walk up the ladder, for the hardest pending order,
+    the largest r: a larger r has the larger bound at every k under a ratio
+    tail, so every other order's m lies at or below the rung where the
+    hardest meets eps. ``tail.cut_guesses`` guesses each m, and the scalar
+    test ``remainder(k) <= eps`` at the guess and at the index before it
+    settles it. The bound does not increase past k0, so each m is the
+    smallest index that meets eps, the one a bisection finds. An order that
+    does not meet eps at that rung, which a power-law bound with c0 > 1
+    allows, walks the ladder itself next.
+    """
+    end, complete = model.max_index(), model.is_complete()
+    if tail is None or (complete and tail.k0 > end):
+        # Without a tail, or with k0 past a complete table's end, the end is
+        # the only cut.
+        cuts, pending = dict.fromkeys(rs, end), []
     else:
-        # The remainder bound does not increase past k0, so the smallest m
-        # meeting eps is found by bisection between the last two rungs.
-        remainder = tail.remainder(model, s)
-        m = lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=lambda k: remainder(k) <= eps)
-    partial = power_sum_partial(model, r, m)
-    return MomentCertificate(
-        r=r, C_r=partial + eps, slack=eps, truncation_index=m, provenance=provenance
-    )
+        cuts, pending = {}, sorted(set(rs), reverse=True)
+        first = max(tail.k0, 1)
+    while pending:
+        hardest, lo = pending[0], first - 1
+        try:
+            for hi, remainder in _truncation_ladder(
+                model, tail, 1.0 - hardest, 1, lambda: f"slack {eps:g} at r={hardest:g}"
+            ):
+                if remainder <= eps:
+                    break
+                lo = hi
+        except (AdmissibilityError, ModelError, ResourceCapError) as exc:
+            cuts[pending.pop(0)] = exc
+            continue
+        powers = [1.0 - r for r in pending]
+        # The hardest alone needs only its last bracket (lo, hi].
+        guesses = tail.cut_guesses(model, powers, eps, lo + 1 if len(powers) == 1 else first, hi)
+        left = []
+        for r, s, guess in zip(pending, powers, guesses):
+            if r == hardest:
+                cut = _settle(tail.remainder(model, s), eps, guess, lo + 1, hi, True)
+            else:
+                cut = _settle(tail.remainder(model, s), eps, guess, first, hi, complete)
+            if cut is None:
+                left.append(r)
+            else:
+                cuts[r] = cut
+        pending = left
+    certificates = []
+    for r in rs:
+        cut = cuts[r]
+        if not isinstance(cut, Exception):
+            partial = power_sum_partial(model, r, cut)
+            cut = MomentCertificate(
+                r=r, C_r=partial + eps, slack=eps, truncation_index=cut, provenance=provenance
+            )
+        certificates.append(cut)
+    return certificates
+
+
+def _settle(remainder, eps: float, guess: int, lo: int, hi: int, hi_meets: bool) -> int | None:
+    """The smallest k in [lo, hi] with ``remainder(k) <= eps``, walked to
+    from ``guess`` with that scalar test, given that the test does not pass
+    and then fail as k grows; ``hi_meets`` says hi passes without a test.
+    None when no k in [lo, hi] passes."""
+    k = min(max(guess, lo), hi)
+    if not ((k == hi and hi_meets) or remainder(k) <= eps):
+        while k < hi:
+            k += 1
+            if (k == hi and hi_meets) or remainder(k) <= eps:
+                return k
+        return None
+    while k > lo and remainder(k - 1) <= eps:
+        k -= 1
+    return k
 
 
 def _own_tail(model: PmfModel) -> PowerLawTail | GeometricRatioTail | None:
@@ -354,10 +428,35 @@ def certify_moment(
         r = default_r(tail)
     if tail is None:
         _require_slack(eps)
-        return _certify_on_ladder(model, None, r, eps, "exact")
+        return _only(_certify_on_ladder(model, None, [r], eps, "exact"))
     if isinstance(tail, PowerLawTail):
         return certify_moment_powerlaw(model, r, eps, tail=tail)
     return certify_moment_ratio(model, r, eps, tail=tail)
+
+
+def _certify_orders(
+    model: PmfModel,
+    tail: PowerLawTail | GeometricRatioTail | None,
+    rs: list[float],
+    eps: float,
+) -> list[MomentCertificate | Exception]:
+    """``certify_moment(model, r, eps)`` at each admissible order in ``rs``,
+    for a model whose own tail certificate, resolved once, is ``tail``. Each
+    entry is the certificate, or the ``ResourceCapError``, ``ModelError`` or
+    ``AdmissibilityError`` its certification raised. Orders on the
+    truncation ladder share one walk up it; a power-law tail on infinite
+    support takes each order's closed form."""
+    _require_slack(eps)
+    if isinstance(tail, PowerLawTail) and model.max_index() is None:
+        results = []
+        for r in rs:
+            try:
+                results.append(certify_moment_powerlaw(model, r, eps, tail=tail))
+            except (AdmissibilityError, ModelError, ResourceCapError) as exc:
+                results.append(exc)
+        return results
+    provenance = "exact" if tail is None else "powerlaw" if isinstance(tail, PowerLawTail) else "ratio"
+    return _certify_on_ladder(model, tail, rs, eps, provenance)
 
 
 def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float) -> EntropyInterval:
@@ -372,8 +471,9 @@ def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     r = certificate.r
     scale = 1.0 / (math.e * r)
-    what = f"entropy tolerance {tol:g} at r={r:g}"
-    rungs = _truncation_ladder(model, _own_tail(model), 1.0 - r, 64, what)
+    rungs = _truncation_ladder(
+        model, _own_tail(model), 1.0 - r, 64, lambda: f"entropy tolerance {tol:g} at r={r:g}"
+    )
     for k_cut, remainder in rungs:
         remainder *= scale
         if remainder <= tol:

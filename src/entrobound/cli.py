@@ -180,10 +180,11 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _cmd_certify(args: argparse.Namespace) -> int:
     model = parse_model_spec(args.model)
     certificate = _resolve_certificate(model, None, args.r, args.slack, args.target_eps)
+    text = certificate.to_json()
     if args.out:
-        certificate.save(args.out)
+        Path(args.out).write_text(text)
     if args.format == "json":
-        sys.stdout.write(json.dumps(certificate.to_dict(), indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(text)
     else:
         lines = [
             f"model: {model.describe()}",

@@ -15,6 +15,7 @@ binomial) are shifted so that outcome k carries the mass of count k - 1.
 from __future__ import annotations
 
 import abc
+import bisect
 import json
 import math
 from dataclasses import dataclass, fields
@@ -73,7 +74,9 @@ def _special():
 
 
 class _TailCertificate:
-    """What both tail shapes share: one validation per power, and spot checks."""
+    """What both tail shapes share: one validation per power, and spot checks.
+    Each shape also guesses, with ``cut_guesses``, where its bound first
+    meets a slack, for the caller to settle with the bound itself."""
 
     def remainder(self, model: "PmfModel", s: float):
         """``k -> `` a certified upper bound on sum_{j > k} p_j**s for k >= k0,
@@ -123,6 +126,19 @@ class PowerLawTail(_TailCertificate):
             )
         scale = self.c0**s
         return lambda k: scale * float(k) ** (-decay) / decay
+
+    def cut_guesses(self, model: "PmfModel", powers, eps: float, lo: int, hi: int) -> list[int]:
+        """For each power s, the first k whose integral bound is at most
+        ``eps``, by its closed-form inverse, clamped to [lo, hi]."""
+        guesses = []
+        for s in powers:
+            decay = self.alpha * s - 1.0
+            try:
+                k = math.ceil(math.pow(eps * decay / math.pow(self.c0, s), -1.0 / decay))
+            except (OverflowError, ValueError, ZeroDivisionError):
+                k = hi  # the inverse overflows, far past hi
+            guesses.append(min(max(k, lo), hi))
+        return guesses
 
     def _check(self, model: "PmfModel", ks: np.ndarray) -> None:
         """Verify the mass cap at every index in ``ks`` (each > k0)."""
@@ -174,6 +190,39 @@ class GeometricRatioTail(_TailCertificate):
             return math.exp(s * (log_end + (k + 1 - n) * log_q)) / denom
 
         return bound
+
+    def cut_guesses(self, model: "PmfModel", powers, eps: float, lo: int, hi: int) -> list[int]:
+        """For each power s, the first k in [lo, hi] whose log p_{k+1} is at
+        most log(eps * (1 - q**s)) / s, the log-mass at which the bound meets
+        ``eps`` but for rounding, else hi. The log-masses do not increase past
+        k0. Within the head's cap they are read as one view of the head, and
+        one ``np.searchsorted`` over it finds the guesses of several powers;
+        one power is bisected on the view, as a few probes cost less than the
+        arrays of a search. Past the cap each power is bisected on scalar
+        log-masses. Past a table's end the bound chains q from the last mass,
+        so a guess past the end is hi."""
+        n = model.max_index()
+        last = hi if n is None else min(hi, n - 1)  # p_{k+1} is listed for k <= last
+        if lo > last:
+            return [hi] * len(powers)
+        log_eps = math.log(eps)
+        levels = [(log_eps + math.log(1.0 - self.q**s)) / s for s in powers]
+        if last < model._head_cap():
+            log_masses = model.log_pmf_range(lo + 1, last + 1)
+            if len(levels) > 1:
+                # negated, so that both ascend
+                found = np.negative(log_masses).searchsorted([-level for level in levels])
+                return [min(lo + i, hi) for i in found.tolist()]
+            log_mass = log_masses.item  # of outcome lo + 1 + i
+        else:
+
+            def log_mass(i: int) -> float:
+                return model.log_pmf(lo + 1 + i)
+
+        # over i = last - lo, ..., 1, 0 the log-masses ascend, so those at
+        # most a level come first
+        down = range(last - lo, -1, -1)
+        return [min(last + 1 - bisect.bisect_right(down, level, key=log_mass), hi) for level in levels]
 
     def _check(self, model: "PmfModel", ks: np.ndarray) -> None:
         """Verify p_k / p_{k-1} <= q at every k in ``ks`` (each > k0). The
@@ -407,17 +456,17 @@ class PmfModel(abc.ABC):
     log p_size: a read-only view of the filled prefix of a buffer whose
     capacity doubles, into which ``log_pmf_array`` writes the outcomes the
     head lacks, so growth computes no entry twice and copies entries only
-    when the capacity doubles. Scalar lookups and series ranges double it
-    from 1024 outcomes up to ``CHUNK`` (8 MiB) and the table end; the
-    sampling cache of cumulative masses grows it as far as its own, a block of
-    ``_CDF_BLOCK`` outcomes at a time and only until it covers the largest
-    uniform of a lookup, up to ``_CDF_INDEX_CAP`` and the table end. No
-    buffer's capacity passes the cap of the caller that grows it. The
-    cumulative masses grow into a buffer of their own the same way, and
-    the cache is one record viewing its filled prefix, replaced when it
-    grows, so a lookup never mixes two states of it; it never affects
-    sampled values, only speed. Pickling drops the cache, the head and
-    their buffers.
+    when the capacity doubles. Scalar lookups double it from 1024 outcomes
+    and series ranges grow it to their last outcome, up to ``CHUNK`` (8 MiB)
+    and the table end; the sampling cache of cumulative masses grows it as
+    far as its own, a block of ``_CDF_BLOCK`` outcomes at a time and only
+    until it covers the largest uniform of a lookup, up to
+    ``_CDF_INDEX_CAP`` and the table end. No buffer's capacity passes the
+    cap of the caller that grows it. The cumulative masses grow into a
+    buffer of their own the same way, and the cache is one record viewing
+    its filled prefix, replaced when it grows, so a lookup never mixes two
+    states of it; it never affects sampled values, only speed. Pickling
+    drops the cache, the head and their buffers.
     """
 
     def __init__(self) -> None:
@@ -468,19 +517,21 @@ class PmfModel(abc.ABC):
         return min(CHUNK, self.max_index() or CHUNK)
 
     def log_pmf(self, k: int) -> float:
-        """log p_k for a single outcome k >= 1, read from the head, grown to
-        hold k, when k <= ``_head_cap()``."""
+        """log p_k for a single outcome k >= 1, read from the head when k <=
+        ``_head_cap()``. A head that lacks k is first doubled from 1024
+        outcomes until it holds it, so scattered lookups grow it rarely."""
         head = self._head
         if head is None or not 1 <= k <= head.size:
             if not 1 <= k <= self._head_cap():
                 return float(self.log_pmf_array(np.asarray([k], dtype=np.int64))[0])
-            head = self._grow_head(int(k))
-        return float(head[int(k) - 1])
+            head = self._grow_head(self._doubling(int(k)))
+        return head.item(k - 1)
 
     def log_pmf_range(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """``log_pmf_array`` at the outcomes lo..hi (lo <= hi). A range the
         head holds, or that lies within ``_head_cap()``, is a read-only view
-        of the head, grown to hold it as ``log_pmf`` grows it. Any other is
+        of the head, grown to end exactly at hi if it ends before, so a
+        series computes the log-masses it reads and no more. Any other is
         computed into ``out`` (hi - lo + 1 entries) or a fresh array, and not
         stored."""
         head = self._head
@@ -490,14 +541,20 @@ class PmfModel(abc.ABC):
             head = self._grow_head(hi)
         return head[lo - 1 : hi]
 
-    def _grow_head(self, k: int) -> np.ndarray:
-        """The head, first doubled from 1024 outcomes until it holds outcome
-        ``k`` (at most ``_head_cap()``), computing only the outcomes it lacks."""
-        cap = self._head_cap()
-        want = min(cap, max(1024, 1 << (k - 1).bit_length()))
+    def _doubling(self, k: int) -> int:
+        """The size, doubled from 1024 outcomes, that holds outcome ``k``, at
+        most ``_head_cap()``."""
+        return min(self._head_cap(), max(1024, 1 << (k - 1).bit_length()))
+
+    def _grow_head(self, want: int) -> np.ndarray:
+        """The head, grown to hold outcomes 1..``want`` (at most
+        ``_head_cap()``), computing only the outcomes it lacks. Its buffer
+        is sized by ``_doubling``, as a scalar lookup sizes the head, so a
+        growth that stops at ``want`` copies no more than one that fills the
+        buffer, and later growths fill it without copying."""
         have = 0 if self._head is None else self._head.size
         if want > have:
-            buf = self._head_buf = _reserve(self._head_buf, have, want, cap)
+            buf = self._head_buf = _reserve(self._head_buf, have, self._doubling(want), self._head_cap())
             self.log_pmf_array(np.arange(have + 1, want + 1, dtype=np.int64), buf[have:want])
             self._fill_head(want)
         return self._head

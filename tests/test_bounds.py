@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrobound.certify as certify_module
 from entrobound import (
     AdmissibilityError,
     BernsteinConstants,
@@ -38,6 +39,7 @@ from entrobound import (
     min_sample_size,
     select_r,
 )
+from entrobound.cli import parse_model_spec
 
 EXACT_GEOM_CERT = MomentCertificate(
     r=0.5, C_r=2.414213562373095, slack=0.0, truncation_index=0, provenance="ratio"
@@ -328,6 +330,44 @@ def test_select_r_target_validation(geom_half):
 def test_select_r_reports_total_failure():
     with pytest.raises(ResourceCapError):
         select_r(Zeta(1.05), eps=1e-6, target_eps=0.5)
+
+
+@pytest.mark.parametrize("spec", ["poisson:15.3", "negbinomial:2.2,0.79"])
+def test_select_r_resolves_the_tail_once_and_walks_the_ladder_once(monkeypatch, spec):
+    model = parse_model_spec(spec)
+    calls = {"tail": 0, "rungs": 0, "bounds": 0}
+    tail_certificate = type(model).tail_certificate
+
+    def counted_tail(self):
+        calls["tail"] += 1
+        return tail_certificate(self)
+
+    remainder = GeometricRatioTail._remainder
+
+    def counted_remainder(self, model, s):
+        bound = remainder(self, model, s)
+
+        def counted(k):
+            calls["bounds"] += 1
+            return bound(k)
+
+        return counted
+
+    ladder = certify_module._truncation_ladder
+
+    def counted_ladder(*args):
+        for rung in ladder(*args):
+            calls["rungs"] += 1
+            yield rung
+
+    monkeypatch.setattr(type(model), "tail_certificate", counted_tail)
+    monkeypatch.setattr(GeometricRatioTail, "_remainder", counted_remainder)
+    monkeypatch.setattr(certify_module, "_truncation_ladder", counted_ladder)
+    select_r(model, eps=1e-6, target_eps=0.2)
+    assert calls["tail"] == 1
+    # one bound per rung, then a guess settled by at most two scalar tests
+    # per order; a walk and a bisection per order took 8 to 13 here
+    assert calls["bounds"] <= calls["rungs"] + 2 * 21
 
 
 # -- order independence -------------------------------------------------------------

@@ -9,8 +9,8 @@ Closed forms used as oracles here:
     from 50-digit partial sums with certified tail control.
 """
 
+import bisect
 import math
-
 import time
 
 import mpmath
@@ -35,6 +35,7 @@ from entrobound import (
     Tabulated,
     Zeta,
     admissible_r_interval,
+    bernstein_constants,
     certify_moment,
     certify_moment_powerlaw,
     certify_moment_ratio,
@@ -42,6 +43,7 @@ from entrobound import (
     entropy_interval,
     entropy_upper_coarse,
     power_sum_partial,
+    select_r,
 )
 from entrobound.summation import CHUNK, indexed_chunk_sum
 
@@ -410,6 +412,165 @@ def test_complete_table_certifies_with_any_tail(masses, tail, eps, cut, provenan
     assert cert.r == (0.25 if isinstance(tail, PowerLawTail) else 0.5)
     exact = math.fsum(m ** (1.0 - cert.r) for m in masses[:cut])
     assert cert.C_r == pytest.approx(exact + eps, rel=1e-15)
+
+
+# -- a grid of orders on one walk up the ladder ---------------------------------
+
+
+def _bisected_certificate(model, r, eps):
+    """One order certified as before the orders shared a walk: the ladder
+    walked for this order alone, then a bisection between its last two
+    rungs with the scalar remainder test. A power law on infinite support
+    keeps its per-order closed form."""
+    tail = certify_module._own_tail(model)
+    if isinstance(tail, PowerLawTail) and model.max_index() is None:
+        return certify_moment(model, r=r, eps=eps)
+    provenance = "exact" if tail is None else "powerlaw" if isinstance(tail, PowerLawTail) else "ratio"
+    s = 1.0 - r
+    lo = 0 if tail is None else max(tail.k0, 1) - 1
+    for hi, bound in certify_module._truncation_ladder(model, tail, s, 1, lambda: f"slack {eps:g} at r={r:g}"):
+        if bound <= eps:
+            break
+        lo = hi
+    m = hi
+    if tail is not None and lo < hi:
+        remainder = tail.remainder(model, s)
+        m = lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=lambda k: remainder(k) <= eps)
+    return MomentCertificate(
+        r=r, C_r=power_sum_partial(model, r, m) + eps, slack=eps, truncation_index=m, provenance=provenance
+    )
+
+
+def _select_r_per_order(model, eps, target_eps):
+    """``select_r`` as it was: one ``certify_moment`` call per grid point."""
+    _, r_max = admissible_r_interval(certify_module._own_tail(model))
+    best_r, best_objective, failure = None, math.inf, None
+    for i in range(1, 22):
+        r = r_max * i / 22.0
+        try:
+            cert = certify_moment(model, r=r, eps=eps)
+        except (ResourceCapError, AdmissibilityError) as exc:
+            failure = exc
+            continue
+        constants = bernstein_constants(cert)
+        objective = constants.c1 + constants.c2 * target_eps
+        if objective < best_objective:
+            best_r, best_objective = r, objective
+    if best_r is None:
+        raise ResourceCapError(f"no grid point over (0, {r_max:g}) could be certified at slack {eps:g}") from failure
+    return best_r
+
+
+def _outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (AdmissibilityError, ModelError, ResourceCapError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def powerlaw_tables(draw):
+    """A table whose masses past k0 lie under c0 * k**-alpha, closed off by
+    that power-law tail with a random share of its cap unlisted (none:
+    complete)."""
+    n = draw(st.integers(1, 60))
+    alpha = draw(st.floats(1.2, 5.0))
+    k0 = draw(st.integers(0, n))
+    ks = np.arange(1, n + 1, dtype=np.float64)
+    rise = [draw(st.floats(0.05, 3.0 if k <= k0 else 1.0)) for k in range(1, n + 1)]
+    w = np.asarray(rise) * ks**-alpha
+    unlisted = draw(st.sampled_from([0.0, 0.5, 0.99])) * n ** (1.0 - alpha) / (alpha - 1.0)
+    scale = w.sum() + unlisted
+    return Tabulated(w / scale, tail=PowerLawTail(k0=k0, c0=float(1.0 / scale), alpha=alpha))
+
+
+@st.composite
+def complete_tables(draw):
+    n = draw(st.integers(1, 60))
+    w = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return Tabulated(w / w.sum())
+
+
+grid_models = st.one_of(
+    st.builds(Geometric, st.floats(0.01, 0.999)),
+    st.builds(Poisson, st.floats(0.01, 60.0)),
+    st.builds(NegativeBinomial, st.floats(0.1, 20.0), st.floats(0.01, 0.9)),
+    st.builds(Zeta, st.floats(4.0, 6.0)),
+    ratio_tables(),
+    powerlaw_tables(),
+    complete_tables(),
+)
+
+
+def _warm(model, how):
+    """Leave the head empty, or grown by a scalar lookup or by a series."""
+    end = model.max_index() or 5000
+    if how == "lookup":
+        model.log_pmf(end)
+    elif how == "series":
+        power_sum_partial(model, 0.5 * admissible_r_interval(certify_module._own_tail(model))[1], end)
+
+
+@given(model=grid_models, data=st.data(), warm=st.sampled_from([None, "lookup", "series"]))
+@settings(max_examples=300, deadline=None)
+def test_grid_is_the_per_order_certification(model, data, warm):
+    tail = certify_module._own_tail(model)
+    r_max = admissible_r_interval(tail)[1]
+    grid = [r_max * i / 22.0 for i in range(1, 22)]
+    # below slack 1, a zeta order near r_max sums up to 10^9 terms
+    exponents = st.floats(0.0, 0.5) if isinstance(model, Zeta) else st.floats(-9.0, 0.0)
+    eps = data.draw(exponents.map(lambda e: 10.0**e), label="eps")
+    on_ladder = model.max_index() is not None or isinstance(tail, GeometricRatioTail)
+    if tail is not None and on_ladder and data.draw(st.booleans(), label="eps on a bound"):
+        # where the scalar test holds with equality, or just fails, so that
+        # the guess and the test can disagree by rounding either way
+        r = grid[data.draw(st.integers(0, 20), label="order")]
+        end = model.max_index() or 2000
+        k = data.draw(st.integers(min(max(tail.k0, 1), end), end), label="k")
+        try:
+            bound = tail.remainder(model, 1.0 - r)(k)
+        except AdmissibilityError:
+            bound = 0.0
+        if 0.0 < bound < math.inf:
+            eps = data.draw(st.sampled_from([bound, math.nextafter(bound, 0.0)]), label="eps at k")
+    _warm(model, warm)
+    results = certify_module._certify_orders(model, tail, grid, eps)
+    for r, result in zip(grid, results):
+        got = (type(result), str(result)) if isinstance(result, Exception) else result
+        assert got == _outcome(_bisected_certificate, model, r, eps)
+        assert got == _outcome(certify_moment, model, r=r, eps=eps)
+    assert _outcome(select_r, model, eps, 0.2) == _outcome(_select_r_per_order, model, eps, 0.2)
+
+
+def test_grid_skips_orders_past_the_cap(monkeypatch):
+    monkeypatch.setattr(certify_module, "TRUNCATION_CAP", 2000)
+    model = Geometric(0.01)
+    grid = [i / 22.0 for i in range(1, 22)]
+    results = certify_module._certify_orders(model, model.tail_certificate(), grid, 1e-6)
+    capped = [isinstance(result, ResourceCapError) for result in results]
+    assert any(capped) and not all(capped)
+    assert capped == sorted(capped)  # only the largest orders pass the cap
+    for r, result in zip(grid, results):
+        got = (type(result), str(result)) if isinstance(result, Exception) else result
+        assert got == _outcome(_bisected_certificate, model, r, 1e-6)
+    assert select_r(model, 1e-6, 0.2) == _select_r_per_order(model, 1e-6, 0.2)
+
+
+def test_grid_order_missing_the_slack_at_the_shared_rung_walks_alone():
+    # With a vacuous cap (c0 = 160 > 1) and a slack of 90, the integral bound
+    # at k = 1 grows with the power: the smallest order misses the slack at
+    # the rung where every larger one meets it, so its cut lies past that
+    # rung and it walks the ladder itself. The largest misses it at the end.
+    table = Tabulated([0.5, 0.25], tail=PowerLawTail(k0=1, c0=160.0, alpha=2.5))
+    grid = [0.6 * i / 22.0 for i in range(1, 22)]
+    results = certify_module._certify_orders(table, table.tail, grid, 90.0)
+    assert [result.truncation_index for result in results[:-1]] == [2] + [1] * 19
+    assert isinstance(results[-1], ModelError)
+    for r, result in zip(grid, results):
+        got = (type(result), str(result)) if isinstance(result, Exception) else result
+        assert got == _outcome(_bisected_certificate, table, r, 90.0)
+        assert got == _outcome(certify_moment, table, r=r, eps=90.0)
 
 
 # -- resource caps ------------------------------------------------------------

@@ -103,6 +103,23 @@ def test_certify_saves_a_loadable_certificate(tmp_path, capsys):
     assert f"saved to: {path}" in capsys.readouterr().out
 
 
+def test_certify_renders_the_saved_and_printed_json_once(tmp_path, capsys, monkeypatch):
+    renders = []
+    dumps = json.dumps
+
+    def counted(*args, **kwargs):
+        renders.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    path = tmp_path / "cert.json"
+    assert main(["certify", "poisson:3.3", "--out", str(path), "--format", "json"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert len(renders) == 1
+    expected = dumps(certify_moment(Poisson(3.3)).to_dict(), indent=2, sort_keys=True) + "\n"
+    assert printed == path.read_text() == expected
+
+
 def test_certify_with_target_radius(capsys):
     assert main(["certify", "geometric:0.5", "--target-eps", "0.3"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -514,20 +514,22 @@ def test_head_sizes_at_the_doubling_edges(k):
 def test_ranges_read_the_head_they_lie_in():
     model = Geometric(0.001)
     power_sum_partial(model, 0.5, 5000)
-    assert model._head.size == 8192  # a series grows the head as a scalar lookup would
+    assert model._head.size == 5000  # a series grows the head to its last outcome
+    assert model._head_buf.size == 8192  # in a buffer sized as a scalar lookup sizes it
     view = model.log_pmf_range(3, 1024)
     assert not view.flags.writeable
     direct = model.log_pmf_array(np.arange(3, 1025, dtype=np.int64))
     assert view.tobytes() == direct.tobytes()
     crossing = model.log_pmf_range(8000, 8200)  # past the head's end, within the cap
-    assert not crossing.flags.writeable and model._head.size == 16384
+    assert not crossing.flags.writeable and model._head.size == 8200
+    assert model._head_buf.size == 16384
     assert crossing.tobytes() == model.log_pmf_array(np.arange(8000, 8201, dtype=np.int64)).tobytes()
     # past the cap, computed into the buffer given and not stored
     out = np.empty(40)
     past = model.log_pmf_range(2**20 - 9, 2**20 + 30, out)
     assert past is out
     assert past.tobytes() == model.log_pmf_array(np.arange(2**20 - 9, 2**20 + 31, dtype=np.int64)).tobytes()
-    assert model._head.size == 16384
+    assert model._head.size == 8200
 
 
 def test_head_stops_at_chunk_and_table_end():
@@ -669,6 +671,29 @@ def test_series_and_sampling_compute_each_log_mass_at_most_once(monkeypatch):
     ks = np.concatenate(computed)
     assert np.unique(ks).size == ks.size  # no outcome computed twice
     assert model._head.size == ks.size  # and every one computed is kept
+
+
+def test_a_series_computes_exactly_the_log_masses_it_sums(monkeypatch):
+    computed = []
+    original = Zeta.log_pmf_array
+
+    def counted(self, ks, out=None):
+        computed.append(np.array(ks, dtype=np.int64))
+        return original(self, ks, out)
+
+    monkeypatch.setattr(Zeta, "log_pmf_array", counted)
+    model = Zeta(2.533)
+    total = power_sum_partial(model, 0.3026, 452_749)
+    ks = np.concatenate(computed)
+    assert ks.size == 452_749 and np.array_equal(np.sort(ks), np.arange(1, 452_750))
+    assert model._head.size == 452_749
+    log_masses = original(model, np.arange(1, 452_750, dtype=np.int64))
+    assert total == float(np.add.reduce(np.exp(np.multiply(log_masses, 1.0 - 0.3026))))
+    # a longer series computes only the outcomes the first one did not
+    computed.clear()
+    power_sum_partial(model, 0.3026, 600_000)
+    assert np.array_equal(np.concatenate(computed), np.arange(452_750, 600_001))
+    assert model._head.size == 600_000
 
 
 # -- block-grown inverse-CDF cache ---------------------------------------------
