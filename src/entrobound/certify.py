@@ -17,6 +17,7 @@ no remainder past its end, so it is certified with or without a tail.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections.abc import Callable
@@ -211,6 +212,7 @@ def _truncation_ladder(
     s: float,
     k_min: int,
     what: Callable[[], str],
+    remainder: Callable[[int], float] | None = None,
 ):
     """Yield rungs ``(k, bound on sum_{j > k} p_j**s)`` at k = max(k_min, k0)
     times 1, 2, 4, ..., clamped (when at least k0) to the table end and to
@@ -219,12 +221,14 @@ def _truncation_ladder(
     raises: a ``ModelError`` that ``what()`` is unreachable with the listed
     masses at a table end, a ``ResourceCapError`` naming ``what()`` at the
     cap. ``what`` formats its description only then, not on every walk.
+    ``remainder`` is ``tail.remainder(model, s)`` when the caller has built it.
     """
     end = model.max_index()
     if model.is_complete():
         yield end, 0.0
     else:
-        remainder = tail.remainder(model, s)
+        if remainder is None:
+            remainder = tail.remainder(model, s)
         stop = TRUNCATION_CAP if end is None else end
         k = max(k_min, tail.k0)
         while k < stop:
@@ -237,24 +241,13 @@ def _truncation_ladder(
     raise ModelError(f"{what()} is unreachable with only {end} listed masses")
 
 
-def _certification_tail(model: PmfModel, tail, shape: type, r: float, eps: float):
-    """``tail``, or the model's own, once it has the shape a certification
-    needs and admits order ``r``, and the slack ``eps`` is usable."""
+def _certification_tail(model: PmfModel, tail, shape: type):
+    """``tail``, or the model's own, once it has the shape a certification needs."""
     if tail is None:
         tail = model.tail_certificate()
     if not isinstance(tail, shape):
         raise ModelError(f"{shape.kind} certification needs a {shape.kind} tail, got {tail!r}")
-    if not (0.0 < r < tail.r_max):
-        raise AdmissibilityError(
-            f"inadmissible r: {r!r} lies outside the admissible interval (0, {tail.r_max:g})"
-        )
-    _require_slack(eps)
     return tail
-
-
-def _require_slack(eps: float) -> None:
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"slack must be positive and finite, got {eps!r}")
 
 
 def certify_moment_powerlaw(
@@ -271,21 +264,7 @@ def certify_moment_powerlaw(
     complete or not, is certified as ``certify_moment_ratio`` certifies
     one, with the power-law remainder bound, so it never sums past its end.
     """
-    tail = _certification_tail(model, tail, PowerLawTail, r, eps)
-    if model.max_index() is not None:
-        return _only(_certify_on_ladder(model, tail, [r], eps, "powerlaw"))
-    decay = tail.alpha * (1.0 - r) - 1.0
-    try:
-        raw = (eps * decay / tail.c0) ** (-1.0 / decay)
-    except OverflowError:
-        raw = math.inf
-    if raw > TRUNCATION_CAP or tail.k0 > TRUNCATION_CAP:
-        raise _cap_error(f"slack {eps:g} at r={r:g}")
-    k1 = max(tail.k0, math.ceil(raw), 1)
-    partial = power_sum_partial(model, r, k1)
-    return MomentCertificate(
-        r=r, C_r=partial + eps, slack=eps, truncation_index=k1, provenance="powerlaw"
-    )
+    return _only(_certify_orders(model, _certification_tail(model, tail, PowerLawTail), [r], eps))
 
 
 def certify_moment_ratio(
@@ -302,8 +281,22 @@ def certify_moment_ratio(
     dominates the discarded tail, C_r here never undershoots the series.
     A complete table needs no remainder past its last listed mass.
     """
-    tail = _certification_tail(model, tail, GeometricRatioTail, r, eps)
-    return _only(_certify_on_ladder(model, tail, [r], eps, "ratio"))
+    return _only(_certify_orders(model, _certification_tail(model, tail, GeometricRatioTail), [r], eps))
+
+
+def certify_moment(
+    model: PmfModel,
+    r: float | None = None,
+    eps: float = DEFAULT_SLACK,
+) -> MomentCertificate:
+    """Certify C_r, dispatching on the model's own tail certificate.
+
+    When ``r`` is omitted the default order rule applies. A complete
+    table built without a tail certificate is summed exactly through its
+    end, with provenance ``"exact"``.
+    """
+    tail = _own_tail(model)
+    return _only(_certify_orders(model, tail, [default_r(tail) if r is None else r], eps))
 
 
 def _only(results: list) -> MomentCertificate:
@@ -312,6 +305,64 @@ def _only(results: list) -> MomentCertificate:
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def _own_tail(model: PmfModel) -> PowerLawTail | GeometricRatioTail | None:
+    """The model's tail certificate; None for a complete table built without one."""
+    try:
+        return model.tail_certificate()
+    except MissingCertificateError:
+        if not model.is_complete():
+            raise
+        return None
+
+
+def _certify_orders(
+    model: PmfModel,
+    tail: PowerLawTail | GeometricRatioTail | None,
+    rs: list[float],
+    eps: float,
+) -> list[MomentCertificate | Exception]:
+    """A certificate for each order in ``rs`` under ``tail``, the certificate
+    the model's own tail is resolved to (None for a complete table built
+    without one): every certification goes through here. An order outside
+    the admissible interval raises ``AdmissibilityError``, then an unusable
+    slack ``ValueError``. Otherwise each entry is the certificate, or the
+    ``ResourceCapError``, ``ModelError`` or ``AdmissibilityError`` that
+    replaced it. A power-law tail on infinite support takes each order's
+    closed form; every other case shares one walk up the truncation ladder,
+    with provenance ``"powerlaw"``, ``"ratio"``, or ``"exact"`` without a tail.
+    """
+    r_max = admissible_r_interval(tail)[1]
+    for r in rs:
+        if not (0.0 < r < r_max):
+            raise AdmissibilityError(
+                f"inadmissible r: {r!r} lies outside the admissible interval (0, {r_max:g})"
+            )
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"slack must be positive and finite, got {eps!r}")
+    if tail is None:
+        return _certify_on_ladder(model, None, rs, eps, "exact")
+    if isinstance(tail, GeometricRatioTail):
+        return _certify_on_ladder(model, tail, rs, eps, "ratio")
+    if model.max_index() is not None:
+        return _certify_on_ladder(model, tail, rs, eps, "powerlaw")
+    return [_certify_powerlaw_closed_form(model, tail, r, eps) for r in rs]
+
+
+def _certify_powerlaw_closed_form(
+    model: PmfModel, tail: PowerLawTail, r: float, eps: float
+) -> MomentCertificate | ResourceCapError:
+    """The certificate at the closed-form index k1 of
+    ``certify_moment_powerlaw``, or the ``ResourceCapError`` past the cap."""
+    decay = tail.alpha * (1.0 - r) - 1.0
+    try:
+        raw = (eps * decay / tail.c0) ** (-1.0 / decay)
+    except OverflowError:
+        raw = math.inf
+    if raw > TRUNCATION_CAP or tail.k0 > TRUNCATION_CAP:
+        return _cap_error(f"slack {eps:g} at r={r:g}")
+    return _certificate(model, r, eps, max(tail.k0, math.ceil(raw), 1), "powerlaw")
 
 
 def _certify_on_ladder(
@@ -332,57 +383,65 @@ def _certify_on_ladder(
     The orders share one walk up the ladder, for the hardest pending order,
     the largest r: a larger r has the larger bound at every k under a ratio
     tail, so every other order's m lies at or below the rung where the
-    hardest meets eps. ``tail.cut_guesses`` guesses each m, and the scalar
-    test ``remainder(k) <= eps`` at the guess and at the index before it
-    settles it. The bound does not increase past k0, so each m is the
+    hardest meets eps. The bound does not increase past k0, so the hardest's
+    m is found by bisection between its last two rungs with the scalar test
+    ``remainder(k) <= eps``. ``tail.cut_guesses`` guesses every other m, and
+    the same test at the guess and at the index before it settles it to the
     smallest index that meets eps, the one a bisection finds. An order that
     does not meet eps at that rung, which a power-law bound with c0 > 1
-    allows, walks the ladder itself next.
+    allows, walks the ladder itself next. Each order's bound is built once.
     """
     end, complete = model.max_index(), model.is_complete()
     if tail is None or (complete and tail.k0 > end):
         # Without a tail, or with k0 past a complete table's end, the end is
         # the only cut.
-        cuts, pending = dict.fromkeys(rs, end), []
-    else:
-        cuts, pending = {}, sorted(set(rs), reverse=True)
-        first = max(tail.k0, 1)
+        return [_certificate(model, r, eps, end, provenance) for r in rs]
+    cuts, bounds = {}, {}
+    pending = sorted(set(rs), reverse=True) if len(rs) > 1 else rs
+    first = max(tail.k0, 1)
     while pending:
-        hardest, lo = pending[0], first - 1
+        hardest, *others = pending
+        lo = first - 1
         try:
+            if hardest not in bounds:
+                bounds[hardest] = tail.remainder(model, 1.0 - hardest)
+            bound = bounds[hardest]
             for hi, remainder in _truncation_ladder(
-                model, tail, 1.0 - hardest, 1, lambda: f"slack {eps:g} at r={hardest:g}"
+                model, tail, 1.0 - hardest, 1, lambda: f"slack {eps:g} at r={hardest:g}", bound
             ):
                 if remainder <= eps:
                     break
                 lo = hi
         except (AdmissibilityError, ModelError, ResourceCapError) as exc:
-            cuts[pending.pop(0)] = exc
+            cuts[hardest] = exc
+            pending = others
             continue
-        powers = [1.0 - r for r in pending]
-        # The hardest alone needs only its last bracket (lo, hi].
-        guesses = tail.cut_guesses(model, powers, eps, lo + 1 if len(powers) == 1 else first, hi)
-        left = []
-        for r, s, guess in zip(pending, powers, guesses):
-            if r == hardest:
-                cut = _settle(tail.remainder(model, s), eps, guess, lo + 1, hi, True)
-            else:
-                cut = _settle(tail.remainder(model, s), eps, guess, first, hi, complete)
-            if cut is None:
-                left.append(r)
-            else:
-                cuts[r] = cut
-        pending = left
-    certificates = []
-    for r in rs:
-        cut = cuts[r]
-        if not isinstance(cut, Exception):
-            partial = power_sum_partial(model, r, cut)
-            cut = MomentCertificate(
-                r=r, C_r=partial + eps, slack=eps, truncation_index=cut, provenance=provenance
-            )
-        certificates.append(cut)
-    return certificates
+        cuts[hardest] = lo + 1 + bisect.bisect_left(
+            range(lo + 1, hi), True, key=lambda k: bound(k) <= eps
+        )
+        pending = []
+        if others:
+            powers = [1.0 - r for r in others]
+            for r, s, guess in zip(others, powers, tail.cut_guesses(model, powers, eps, first, hi)):
+                if r not in bounds:
+                    bounds[r] = tail.remainder(model, s)
+                cut = _settle(bounds[r], eps, guess, first, hi, complete)
+                if cut is None:
+                    pending.append(r)
+                else:
+                    cuts[r] = cut
+    return [
+        cuts[r] if isinstance(cuts[r], Exception) else _certificate(model, r, eps, cuts[r], provenance)
+        for r in rs
+    ]
+
+
+def _certificate(model: PmfModel, r: float, eps: float, cut: int, provenance: str) -> MomentCertificate:
+    """C_r summed through ``cut``, plus eps."""
+    partial = power_sum_partial(model, r, cut)
+    return MomentCertificate(
+        r=r, C_r=partial + eps, slack=eps, truncation_index=cut, provenance=provenance
+    )
 
 
 def _settle(remainder, eps: float, guess: int, lo: int, hi: int, hi_meets: bool) -> int | None:
@@ -400,63 +459,6 @@ def _settle(remainder, eps: float, guess: int, lo: int, hi: int, hi_meets: bool)
     while k > lo and remainder(k - 1) <= eps:
         k -= 1
     return k
-
-
-def _own_tail(model: PmfModel) -> PowerLawTail | GeometricRatioTail | None:
-    """The model's tail certificate; None for a complete table built without one."""
-    try:
-        return model.tail_certificate()
-    except MissingCertificateError:
-        if not model.is_complete():
-            raise
-        return None
-
-
-def certify_moment(
-    model: PmfModel,
-    r: float | None = None,
-    eps: float = DEFAULT_SLACK,
-) -> MomentCertificate:
-    """Certify C_r, dispatching on the model's own tail certificate.
-
-    When ``r`` is omitted the default order rule applies. A complete
-    table built without a tail certificate is summed exactly through its
-    end, with provenance ``"exact"``.
-    """
-    tail = _own_tail(model)
-    if r is None:
-        r = default_r(tail)
-    if tail is None:
-        _require_slack(eps)
-        return _only(_certify_on_ladder(model, None, [r], eps, "exact"))
-    if isinstance(tail, PowerLawTail):
-        return certify_moment_powerlaw(model, r, eps, tail=tail)
-    return certify_moment_ratio(model, r, eps, tail=tail)
-
-
-def _certify_orders(
-    model: PmfModel,
-    tail: PowerLawTail | GeometricRatioTail | None,
-    rs: list[float],
-    eps: float,
-) -> list[MomentCertificate | Exception]:
-    """``certify_moment(model, r, eps)`` at each admissible order in ``rs``,
-    for a model whose own tail certificate, resolved once, is ``tail``. Each
-    entry is the certificate, or the ``ResourceCapError``, ``ModelError`` or
-    ``AdmissibilityError`` its certification raised. Orders on the
-    truncation ladder share one walk up it; a power-law tail on infinite
-    support takes each order's closed form."""
-    _require_slack(eps)
-    if isinstance(tail, PowerLawTail) and model.max_index() is None:
-        results = []
-        for r in rs:
-            try:
-                results.append(certify_moment_powerlaw(model, r, eps, tail=tail))
-            except (AdmissibilityError, ModelError, ResourceCapError) as exc:
-                results.append(exc)
-        return results
-    provenance = "exact" if tail is None else "powerlaw" if isinstance(tail, PowerLawTail) else "ratio"
-    return _certify_on_ladder(model, tail, rs, eps, provenance)
 
 
 def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float) -> EntropyInterval:

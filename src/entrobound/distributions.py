@@ -195,12 +195,10 @@ class GeometricRatioTail(_TailCertificate):
         """For each power s, the first k in [lo, hi] whose log p_{k+1} is at
         most log(eps * (1 - q**s)) / s, the log-mass at which the bound meets
         ``eps`` but for rounding, else hi. The log-masses do not increase past
-        k0. Within the head's cap they are read as one view of the head, and
-        one ``np.searchsorted`` over it finds the guesses of several powers;
-        one power is bisected on the view, as a few probes cost less than the
-        arrays of a search. Past the cap each power is bisected on scalar
-        log-masses. Past a table's end the bound chains q from the last mass,
-        so a guess past the end is hi."""
+        k0. Within the head's cap all powers share one ``np.searchsorted``
+        over a view of the head; past it each power is bisected on scalar
+        log-masses, which computes no range of them. Past a table's end the
+        bound chains q from the last mass, so a guess past the end is hi."""
         n = model.max_index()
         last = hi if n is None else min(hi, n - 1)  # p_{k+1} is listed for k <= last
         if lo > last:
@@ -208,16 +206,12 @@ class GeometricRatioTail(_TailCertificate):
         log_eps = math.log(eps)
         levels = [(log_eps + math.log(1.0 - self.q**s)) / s for s in powers]
         if last < model._head_cap():
-            log_masses = model.log_pmf_range(lo + 1, last + 1)
-            if len(levels) > 1:
-                # negated, so that both ascend
-                found = np.negative(log_masses).searchsorted([-level for level in levels])
-                return [min(lo + i, hi) for i in found.tolist()]
-            log_mass = log_masses.item  # of outcome lo + 1 + i
-        else:
+            # negated, so that both ascend
+            found = np.negative(model.log_pmf_range(lo + 1, last + 1)).searchsorted([-v for v in levels])
+            return [min(lo + i, hi) for i in found.tolist()]
 
-            def log_mass(i: int) -> float:
-                return model.log_pmf(lo + 1 + i)
+        def log_mass(i: int) -> float:
+            return model.log_pmf(lo + 1 + i)
 
         # over i = last - lo, ..., 1, 0 the log-masses ascend, so those at
         # most a level come first

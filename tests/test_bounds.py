@@ -335,7 +335,8 @@ def test_select_r_reports_total_failure():
 @pytest.mark.parametrize("spec", ["poisson:15.3", "negbinomial:2.2,0.79"])
 def test_select_r_resolves_the_tail_once_and_walks_the_ladder_once(monkeypatch, spec):
     model = parse_model_spec(spec)
-    calls = {"tail": 0, "rungs": 0, "bounds": 0}
+    calls = {"tail": 0, "bounds": 0}
+    rungs = []
     tail_certificate = type(model).tail_certificate
 
     def counted_tail(self):
@@ -357,7 +358,7 @@ def test_select_r_resolves_the_tail_once_and_walks_the_ladder_once(monkeypatch, 
 
     def counted_ladder(*args):
         for rung in ladder(*args):
-            calls["rungs"] += 1
+            rungs.append(rung[0])
             yield rung
 
     monkeypatch.setattr(type(model), "tail_certificate", counted_tail)
@@ -365,9 +366,11 @@ def test_select_r_resolves_the_tail_once_and_walks_the_ladder_once(monkeypatch, 
     monkeypatch.setattr(certify_module, "_truncation_ladder", counted_ladder)
     select_r(model, eps=1e-6, target_eps=0.2)
     assert calls["tail"] == 1
-    # one bound per rung, then a guess settled by at most two scalar tests
-    # per order; a walk and a bisection per order took 8 to 13 here
-    assert calls["bounds"] <= calls["rungs"] + 2 * 21
+    # one bound per rung, a bisection of the largest order's last bracket,
+    # then a guess settled by at most two scalar tests per other order; a
+    # walk and a bisection per order took 8 to 13 here
+    bracket = rungs[-1] - (rungs[-2] if len(rungs) > 1 else 0)
+    assert calls["bounds"] <= len(rungs) + bracket.bit_length() + 2 * 20
 
 
 # -- order independence -------------------------------------------------------------

@@ -9,7 +9,6 @@ Closed forms used as oracles here:
     from 50-digit partial sums with certified tail control.
 """
 
-import bisect
 import math
 import time
 
@@ -20,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrobound.certify as certify_module
+import entrobound.distributions as distributions_module
 from entrobound import (
     AdmissibilityError,
     DEFAULT_SLACK,
@@ -417,30 +417,6 @@ def test_complete_table_certifies_with_any_tail(masses, tail, eps, cut, provenan
 # -- a grid of orders on one walk up the ladder ---------------------------------
 
 
-def _bisected_certificate(model, r, eps):
-    """One order certified as before the orders shared a walk: the ladder
-    walked for this order alone, then a bisection between its last two
-    rungs with the scalar remainder test. A power law on infinite support
-    keeps its per-order closed form."""
-    tail = certify_module._own_tail(model)
-    if isinstance(tail, PowerLawTail) and model.max_index() is None:
-        return certify_moment(model, r=r, eps=eps)
-    provenance = "exact" if tail is None else "powerlaw" if isinstance(tail, PowerLawTail) else "ratio"
-    s = 1.0 - r
-    lo = 0 if tail is None else max(tail.k0, 1) - 1
-    for hi, bound in certify_module._truncation_ladder(model, tail, s, 1, lambda: f"slack {eps:g} at r={r:g}"):
-        if bound <= eps:
-            break
-        lo = hi
-    m = hi
-    if tail is not None and lo < hi:
-        remainder = tail.remainder(model, s)
-        m = lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=lambda k: remainder(k) <= eps)
-    return MomentCertificate(
-        r=r, C_r=power_sum_partial(model, r, m) + eps, slack=eps, truncation_index=m, provenance=provenance
-    )
-
-
 def _select_r_per_order(model, eps, target_eps):
     """``select_r`` as it was: one ``certify_moment`` call per grid point."""
     _, r_max = admissible_r_interval(certify_module._own_tail(model))
@@ -538,7 +514,6 @@ def test_grid_is_the_per_order_certification(model, data, warm):
     results = certify_module._certify_orders(model, tail, grid, eps)
     for r, result in zip(grid, results):
         got = (type(result), str(result)) if isinstance(result, Exception) else result
-        assert got == _outcome(_bisected_certificate, model, r, eps)
         assert got == _outcome(certify_moment, model, r=r, eps=eps)
     assert _outcome(select_r, model, eps, 0.2) == _outcome(_select_r_per_order, model, eps, 0.2)
 
@@ -553,8 +528,20 @@ def test_grid_skips_orders_past_the_cap(monkeypatch):
     assert capped == sorted(capped)  # only the largest orders pass the cap
     for r, result in zip(grid, results):
         got = (type(result), str(result)) if isinstance(result, Exception) else result
-        assert got == _outcome(_bisected_certificate, model, r, 1e-6)
+        assert got == _outcome(certify_moment, model, r=r, eps=1e-6)
     assert select_r(model, 1e-6, 0.2) == _select_r_per_order(model, 1e-6, 0.2)
+
+
+def test_grid_guesses_past_the_head_cap(monkeypatch):
+    # With the head capped at 64 outcomes, every rung past the first lies
+    # beyond it, so the guesses bisect scalar log-masses instead of
+    # searching a view of the head.
+    monkeypatch.setattr(distributions_module, "CHUNK", 64)
+    grid = [i / 22.0 for i in range(1, 22)]
+    results = certify_module._certify_orders(Geometric(0.05), Geometric(0.05).tail_certificate(), grid, 1e-6)
+    assert min(result.truncation_index for result in results) > 64
+    for r, result in zip(grid, results):
+        assert result == certify_moment(Geometric(0.05), r=r, eps=1e-6)
 
 
 def test_grid_order_missing_the_slack_at_the_shared_rung_walks_alone():
@@ -569,7 +556,6 @@ def test_grid_order_missing_the_slack_at_the_shared_rung_walks_alone():
     assert isinstance(results[-1], ModelError)
     for r, result in zip(grid, results):
         got = (type(result), str(result)) if isinstance(result, Exception) else result
-        assert got == _outcome(_bisected_certificate, table, r, 90.0)
         assert got == _outcome(certify_moment, table, r=r, eps=90.0)
 
 
