@@ -52,6 +52,10 @@ __all__ = [
 # The only definition of sqrt(pi) in the package.
 SQRT_PI = math.sqrt(math.pi)
 
+# Past 2**53 a float n * eps**2 no longer changes when n steps by one, so
+# the rounding loops of ``min_sample_size`` might never end.
+_MAX_SAMPLE_SIZE = 2**53
+
 
 @dataclass(frozen=True)
 class BernsteinConstants:
@@ -143,14 +147,22 @@ def min_sample_size(constants: BernsteinConstants, eps: float, delta: float) -> 
 
     Closed form n >= (c1 + c2*eps) * log(2/delta) / eps**2, verified by
     one evaluation. Targets delta in [1, 2) are vacuous but legal; the
-    bound starts below 2, so small n already suffices.
+    bound starts below 2, so small n already suffices. A closed form that
+    is not finite (eps**2 underflows) or exceeds 2**53 raises
+    ``ResourceCapError``.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"deviation radius must be positive and finite, got {eps!r}")
     if not (0.0 < delta < 2.0):
         raise ValueError(f"target probability must lie in (0, 2), got {delta!r}")
     level = math.log(2.0 / delta)
-    n = max(1, math.ceil((constants.c1 + constants.c2 * eps) * level / (eps * eps)))
+    square = eps * eps
+    raw = (constants.c1 + constants.c2 * eps) * level / square if square > 0.0 else math.inf
+    if not raw <= _MAX_SAMPLE_SIZE:
+        raise ResourceCapError(
+            f"sample size {raw:.3g} for radius {eps:g} at delta {delta:g} exceeds the cap of 2**53"
+        )
+    n = max(1, math.ceil(raw))
     # The closed form is exact in real arithmetic; these two loops absorb
     # float rounding on either side so the result is truly minimal.
     while deviation_bound(constants, n, eps) > delta:
@@ -237,8 +249,9 @@ def select_r(
     c1 + c2 * target_eps wins; grid points whose certification exceeds
     the truncation budget are skipped. Each grid point's certificate is
     the one ``certify_moment`` gives, bit for bit; the model's tail is
-    resolved once, and on the truncation ladder the grid shares one walk up
-    it, for its largest order, and one read of the log-mass memo.
+    resolved once, and each order is certified alone, except that under a
+    ratio tail the orders below one cut inside the head share its cut as
+    ``certify._certify_orders`` describes.
     """
     tail = _own_tail(model)
     if target_eps is None:

@@ -264,7 +264,7 @@ def certify_moment_powerlaw(
     complete or not, is certified as ``certify_moment_ratio`` certifies
     one, with the power-law remainder bound, so it never sums past its end.
     """
-    return _only(_certify_orders(model, _certification_tail(model, tail, PowerLawTail), [r], eps))
+    return _certify(model, _certification_tail(model, tail, PowerLawTail), r, eps)
 
 
 def certify_moment_ratio(
@@ -281,7 +281,7 @@ def certify_moment_ratio(
     dominates the discarded tail, C_r here never undershoots the series.
     A complete table needs no remainder past its last listed mass.
     """
-    return _only(_certify_orders(model, _certification_tail(model, tail, GeometricRatioTail), [r], eps))
+    return _certify(model, _certification_tail(model, tail, GeometricRatioTail), r, eps)
 
 
 def certify_moment(
@@ -296,15 +296,7 @@ def certify_moment(
     end, with provenance ``"exact"``.
     """
     tail = _own_tail(model)
-    return _only(_certify_orders(model, tail, [default_r(tail) if r is None else r], eps))
-
-
-def _only(results: list) -> MomentCertificate:
-    """The one certificate in ``results``, or the error that replaced it, raised."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _certify(model, tail, default_r(tail) if r is None else r, eps)
 
 
 def _own_tail(model: PmfModel) -> PowerLawTail | GeometricRatioTail | None:
@@ -317,123 +309,125 @@ def _own_tail(model: PmfModel) -> PowerLawTail | GeometricRatioTail | None:
         return None
 
 
+def _certify(
+    model: PmfModel, tail: PowerLawTail | GeometricRatioTail | None, r: float, eps: float
+) -> MomentCertificate:
+    """The certificate at order ``r`` under ``tail``, the certificate the
+    model's own tail is resolved to (None for a complete table built without
+    one): every certification but a grid's shared cuts (``_certify_orders``)
+    goes through here. An order outside the admissible interval raises
+    ``AdmissibilityError``, then an unusable slack ``ValueError``. A
+    power-law tail on infinite support takes the closed form; every other
+    case walks the truncation ladder, with provenance ``"powerlaw"``,
+    ``"ratio"``, or ``"exact"`` without a tail.
+    """
+    r_max = admissible_r_interval(tail)[1]
+    if not (0.0 < r < r_max):
+        raise AdmissibilityError(
+            f"inadmissible r: {r!r} lies outside the admissible interval (0, {r_max:g})"
+        )
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"slack must be positive and finite, got {eps!r}")
+    if tail is None:
+        return _certificate(model, r, eps, model.max_index(), "exact")
+    if isinstance(tail, GeometricRatioTail):
+        return _certify_on_ladder(model, tail, r, eps, "ratio")
+    if model.max_index() is not None:
+        return _certify_on_ladder(model, tail, r, eps, "powerlaw")
+    return _certify_powerlaw_closed_form(model, tail, r, eps)
+
+
 def _certify_orders(
     model: PmfModel,
     tail: PowerLawTail | GeometricRatioTail | None,
     rs: list[float],
     eps: float,
 ) -> list[MomentCertificate | Exception]:
-    """A certificate for each order in ``rs`` under ``tail``, the certificate
-    the model's own tail is resolved to (None for a complete table built
-    without one): every certification goes through here. An order outside
-    the admissible interval raises ``AdmissibilityError``, then an unusable
-    slack ``ValueError``. Otherwise each entry is the certificate, or the
-    ``ResourceCapError``, ``ModelError`` or ``AdmissibilityError`` that
-    replaced it. A power-law tail on infinite support takes each order's
-    closed form; every other case shares one walk up the truncation ladder,
-    with provenance ``"powerlaw"``, ``"ratio"``, or ``"exact"`` without a tail.
+    """A certificate for each order in ``rs`` under ``tail``, each the one
+    ``_certify`` gives, bit for bit, or the ``ResourceCapError``,
+    ``ModelError`` or ``AdmissibilityError`` it raised; an unusable slack
+    raises ``ValueError``.
+
+    The orders are certified largest first, each alone but for one case.
+    Once one succeeds under a ratio tail with its cut m inside the head's
+    cap, a smaller order's bound is no larger at any k, so its cut lies in
+    [k0, m]: ``tail.cut_guesses`` guesses every smaller order's cut in one
+    search of the head, and ``_settle`` settles each with the scalar test
+    ``remainder(k) <= eps`` to the smallest index that meets eps, the one a
+    bisection finds. An order that no index up to m settles is certified
+    alone.
     """
-    r_max = admissible_r_interval(tail)[1]
-    for r in rs:
-        if not (0.0 < r < r_max):
-            raise AdmissibilityError(
-                f"inadmissible r: {r!r} lies outside the admissible interval (0, {r_max:g})"
-            )
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"slack must be positive and finite, got {eps!r}")
-    if tail is None:
-        return _certify_on_ladder(model, None, rs, eps, "exact")
-    if isinstance(tail, GeometricRatioTail):
-        return _certify_on_ladder(model, tail, rs, eps, "ratio")
-    if model.max_index() is not None:
-        return _certify_on_ladder(model, tail, rs, eps, "powerlaw")
-    return [_certify_powerlaw_closed_form(model, tail, r, eps) for r in rs]
+    order = sorted(set(rs), reverse=True)
+    results: dict[float, MomentCertificate | Exception] = {}
+    guesses: dict[float, int] = {}
+    for i, r in enumerate(order):
+        try:
+            cut = None
+            if r in guesses:
+                cut = _settle(tail.remainder(model, 1.0 - r), eps, guesses[r], tail.k0, hi)
+            if cut is None:
+                cert = results[r] = _certify(model, tail, r, eps)
+            else:
+                cert = results[r] = _certificate(model, r, eps, cut, "ratio")
+        except (AdmissibilityError, ModelError, ResourceCapError) as exc:
+            results[r] = exc
+            continue
+        if (
+            not guesses
+            and isinstance(tail, GeometricRatioTail)
+            and tail.k0 <= cert.truncation_index < model._head_cap()
+        ):
+            hi, smaller = cert.truncation_index, order[i + 1 :]
+            powers = [1.0 - r for r in smaller]
+            guesses = dict(zip(smaller, tail.cut_guesses(model, powers, eps, tail.k0, hi)))
+    return [results[r] for r in rs]
 
 
 def _certify_powerlaw_closed_form(
     model: PmfModel, tail: PowerLawTail, r: float, eps: float
-) -> MomentCertificate | ResourceCapError:
+) -> MomentCertificate:
     """The certificate at the closed-form index k1 of
-    ``certify_moment_powerlaw``, or the ``ResourceCapError`` past the cap."""
+    ``certify_moment_powerlaw``; past the cap, ``ResourceCapError``."""
     decay = tail.alpha * (1.0 - r) - 1.0
     try:
         raw = (eps * decay / tail.c0) ** (-1.0 / decay)
     except OverflowError:
         raw = math.inf
     if raw > TRUNCATION_CAP or tail.k0 > TRUNCATION_CAP:
-        return _cap_error(f"slack {eps:g} at r={r:g}")
+        raise _cap_error(f"slack {eps:g} at r={r:g}")
     return _certificate(model, r, eps, max(tail.k0, math.ceil(raw), 1), "powerlaw")
 
 
 def _certify_on_ladder(
     model: PmfModel,
-    tail: PowerLawTail | GeometricRatioTail | None,
-    rs: list[float],
+    tail: PowerLawTail | GeometricRatioTail,
+    r: float,
     eps: float,
     provenance: str,
-) -> list[MomentCertificate | Exception]:
-    """A certificate for each order in ``rs``: C_r summed through the
-    smallest m >= max(k0, 1) whose remainder bound under ``tail`` is at most
-    eps, plus eps. An order whose m lies past the ladder's last rung gets the
-    ``ResourceCapError`` or ``ModelError`` the ladder raised in its place, as
-    does one whose bound the tail refuses (``AdmissibilityError``). A
-    complete table is one rung at its end with remainder 0.0, so m never
-    passes the end, and without a tail m is the end.
-
-    The orders share one walk up the ladder, for the hardest pending order,
-    the largest r: a larger r has the larger bound at every k under a ratio
-    tail, so every other order's m lies at or below the rung where the
-    hardest meets eps. The bound does not increase past k0, so the hardest's
-    m is found by bisection between its last two rungs with the scalar test
-    ``remainder(k) <= eps``. ``tail.cut_guesses`` guesses every other m, and
-    the same test at the guess and at the index before it settles it to the
-    smallest index that meets eps, the one a bisection finds. An order that
-    does not meet eps at that rung, which a power-law bound with c0 > 1
-    allows, walks the ladder itself next. Each order's bound is built once.
+) -> MomentCertificate:
+    """C_r summed through the smallest m >= max(k0, 1) whose remainder bound
+    under ``tail`` is at most eps, plus eps. The ladder's rungs are walked to
+    the first that meets eps, and since the bound does not increase past k0,
+    m is found by bisection between the last two rungs with the scalar test
+    ``remainder(k) <= eps``. Past the ladder's last rung this raises the
+    ``ResourceCapError`` or ``ModelError`` the ladder raised, and a bound the
+    tail refuses raises ``AdmissibilityError``. A complete table is one rung
+    at its end with remainder 0.0, so m never passes the end; with k0 past
+    that end, the end is the only cut.
     """
-    end, complete = model.max_index(), model.is_complete()
-    if tail is None or (complete and tail.k0 > end):
-        # Without a tail, or with k0 past a complete table's end, the end is
-        # the only cut.
-        return [_certificate(model, r, eps, end, provenance) for r in rs]
-    cuts, bounds = {}, {}
-    pending = sorted(set(rs), reverse=True) if len(rs) > 1 else rs
-    first = max(tail.k0, 1)
-    while pending:
-        hardest, *others = pending
-        lo = first - 1
-        try:
-            if hardest not in bounds:
-                bounds[hardest] = tail.remainder(model, 1.0 - hardest)
-            bound = bounds[hardest]
-            for hi, remainder in _truncation_ladder(
-                model, tail, 1.0 - hardest, 1, lambda: f"slack {eps:g} at r={hardest:g}", bound
-            ):
-                if remainder <= eps:
-                    break
-                lo = hi
-        except (AdmissibilityError, ModelError, ResourceCapError) as exc:
-            cuts[hardest] = exc
-            pending = others
-            continue
-        cuts[hardest] = lo + 1 + bisect.bisect_left(
-            range(lo + 1, hi), True, key=lambda k: bound(k) <= eps
-        )
-        pending = []
-        if others:
-            powers = [1.0 - r for r in others]
-            for r, s, guess in zip(others, powers, tail.cut_guesses(model, powers, eps, first, hi)):
-                if r not in bounds:
-                    bounds[r] = tail.remainder(model, s)
-                cut = _settle(bounds[r], eps, guess, first, hi, complete)
-                if cut is None:
-                    pending.append(r)
-                else:
-                    cuts[r] = cut
-    return [
-        cuts[r] if isinstance(cuts[r], Exception) else _certificate(model, r, eps, cuts[r], provenance)
-        for r in rs
-    ]
+    end = model.max_index()
+    if model.is_complete() and tail.k0 > end:
+        return _certificate(model, r, eps, end, provenance)
+    bound = tail.remainder(model, 1.0 - r)
+    lo = max(tail.k0, 1) - 1
+    for hi, remainder in _truncation_ladder(
+        model, tail, 1.0 - r, 1, lambda: f"slack {eps:g} at r={r:g}", bound
+    ):
+        if remainder <= eps:
+            break
+        lo = hi
+    cut = lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=lambda k: bound(k) <= eps)
+    return _certificate(model, r, eps, cut, provenance)
 
 
 def _certificate(model: PmfModel, r: float, eps: float, cut: int, provenance: str) -> MomentCertificate:
@@ -444,16 +438,15 @@ def _certificate(model: PmfModel, r: float, eps: float, cut: int, provenance: st
     )
 
 
-def _settle(remainder, eps: float, guess: int, lo: int, hi: int, hi_meets: bool) -> int | None:
+def _settle(remainder, eps: float, guess: int, lo: int, hi: int) -> int | None:
     """The smallest k in [lo, hi] with ``remainder(k) <= eps``, walked to
     from ``guess`` with that scalar test, given that the test does not pass
-    and then fail as k grows; ``hi_meets`` says hi passes without a test.
-    None when no k in [lo, hi] passes."""
+    and then fail as k grows. None when no k in [lo, hi] passes."""
     k = min(max(guess, lo), hi)
-    if not ((k == hi and hi_meets) or remainder(k) <= eps):
+    if not remainder(k) <= eps:
         while k < hi:
             k += 1
-            if (k == hi and hi_meets) or remainder(k) <= eps:
+            if remainder(k) <= eps:
                 return k
         return None
     while k > lo and remainder(k - 1) <= eps:

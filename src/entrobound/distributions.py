@@ -15,7 +15,6 @@ binomial) are shifted so that outcome k carries the mass of count k - 1.
 from __future__ import annotations
 
 import abc
-import bisect
 import json
 import math
 from dataclasses import dataclass, fields
@@ -74,9 +73,7 @@ def _special():
 
 
 class _TailCertificate:
-    """What both tail shapes share: one validation per power, and spot checks.
-    Each shape also guesses, with ``cut_guesses``, where its bound first
-    meets a slack, for the caller to settle with the bound itself."""
+    """What both tail shapes share: one validation per power, and spot checks."""
 
     def remainder(self, model: "PmfModel", s: float):
         """``k -> `` a certified upper bound on sum_{j > k} p_j**s for k >= k0,
@@ -126,19 +123,6 @@ class PowerLawTail(_TailCertificate):
             )
         scale = self.c0**s
         return lambda k: scale * float(k) ** (-decay) / decay
-
-    def cut_guesses(self, model: "PmfModel", powers, eps: float, lo: int, hi: int) -> list[int]:
-        """For each power s, the first k whose integral bound is at most
-        ``eps``, by its closed-form inverse, clamped to [lo, hi]."""
-        guesses = []
-        for s in powers:
-            decay = self.alpha * s - 1.0
-            try:
-                k = math.ceil(math.pow(eps * decay / math.pow(self.c0, s), -1.0 / decay))
-            except (OverflowError, ValueError, ZeroDivisionError):
-                k = hi  # the inverse overflows, far past hi
-            guesses.append(min(max(k, lo), hi))
-        return guesses
 
     def _check(self, model: "PmfModel", ks: np.ndarray) -> None:
         """Verify the mass cap at every index in ``ks`` (each > k0)."""
@@ -194,10 +178,9 @@ class GeometricRatioTail(_TailCertificate):
     def cut_guesses(self, model: "PmfModel", powers, eps: float, lo: int, hi: int) -> list[int]:
         """For each power s, the first k in [lo, hi] whose log p_{k+1} is at
         most log(eps * (1 - q**s)) / s, the log-mass at which the bound meets
-        ``eps`` but for rounding, else hi. The log-masses do not increase past
-        k0. Within the head's cap all powers share one ``np.searchsorted``
-        over a view of the head; past it each power is bisected on scalar
-        log-masses, which computes no range of them. Past a table's end the
+        ``eps`` but for rounding, else hi; hi lies below the head's cap. The
+        log-masses do not increase past k0, so all powers share one
+        ``np.searchsorted`` over a view of the head. Past a table's end the
         bound chains q from the last mass, so a guess past the end is hi."""
         n = model.max_index()
         last = hi if n is None else min(hi, n - 1)  # p_{k+1} is listed for k <= last
@@ -205,18 +188,9 @@ class GeometricRatioTail(_TailCertificate):
             return [hi] * len(powers)
         log_eps = math.log(eps)
         levels = [(log_eps + math.log(1.0 - self.q**s)) / s for s in powers]
-        if last < model._head_cap():
-            # negated, so that both ascend
-            found = np.negative(model.log_pmf_range(lo + 1, last + 1)).searchsorted([-v for v in levels])
-            return [min(lo + i, hi) for i in found.tolist()]
-
-        def log_mass(i: int) -> float:
-            return model.log_pmf(lo + 1 + i)
-
-        # over i = last - lo, ..., 1, 0 the log-masses ascend, so those at
-        # most a level come first
-        down = range(last - lo, -1, -1)
-        return [min(last + 1 - bisect.bisect_right(down, level, key=log_mass), hi) for level in levels]
+        # negated, so that both ascend
+        found = np.negative(model.log_pmf_range(lo + 1, last + 1)).searchsorted([-v for v in levels])
+        return [min(lo + i, hi) for i in found.tolist()]
 
     def _check(self, model: "PmfModel", ks: np.ndarray) -> None:
         """Verify p_k / p_{k-1} <= q at every k in ``ks`` (each > k0). The

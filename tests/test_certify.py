@@ -208,7 +208,7 @@ def test_tail_remainder_dominates_the_mpmath_tail(model, s):
     remainder = tail.remainder(model, s)
     # Geometric's ratio cap holds with equality, so its bound is the tail
     # itself in real arithmetic and float rounding may land either side;
-    # making the bound hold in floats is ROADMAP Direction 4. Every other
+    # making the bound hold in floats is ROADMAP Direction 2. Every other
     # bound here is strict, and is checked with no allowance.
     allowance = 1e-14 if isinstance(model, Geometric) else 0.0
     with mpmath.workdps(40):
@@ -532,26 +532,45 @@ def test_grid_skips_orders_past_the_cap(monkeypatch):
     assert select_r(model, 1e-6, 0.2) == _select_r_per_order(model, 1e-6, 0.2)
 
 
-def test_grid_guesses_past_the_head_cap(monkeypatch):
-    # With the head capped at 64 outcomes, every rung past the first lies
-    # beyond it, so the guesses bisect scalar log-masses instead of
-    # searching a view of the head.
+def _count_cut_guesses(monkeypatch) -> list:
+    """Record every ``cut_guesses`` call, on either tail shape, from here on."""
+    calls = []
+    for shape in (GeometricRatioTail, PowerLawTail):
+        guesses = getattr(shape, "cut_guesses", None)
+        if guesses is not None:
+
+            def counted(self, *args, guesses=guesses):
+                calls.append(type(self))
+                return guesses(self, *args)
+
+            monkeypatch.setattr(shape, "cut_guesses", counted)
+    return calls
+
+
+def test_grid_past_the_head_cap_certifies_each_order_alone(monkeypatch):
+    # With the head capped at 64 outcomes, every order's cut lies past it, so
+    # no order shares another's walk: each walks the ladder and bisects alone.
     monkeypatch.setattr(distributions_module, "CHUNK", 64)
+    calls = _count_cut_guesses(monkeypatch)
     grid = [i / 22.0 for i in range(1, 22)]
     results = certify_module._certify_orders(Geometric(0.05), Geometric(0.05).tail_certificate(), grid, 1e-6)
+    assert calls == []
     assert min(result.truncation_index for result in results) > 64
     for r, result in zip(grid, results):
         assert result == certify_moment(Geometric(0.05), r=r, eps=1e-6)
 
 
-def test_grid_order_missing_the_slack_at_the_shared_rung_walks_alone():
-    # With a vacuous cap (c0 = 160 > 1) and a slack of 90, the integral bound
-    # at k = 1 grows with the power: the smallest order misses the slack at
-    # the rung where every larger one meets it, so its cut lies past that
-    # rung and it walks the ladder itself. The largest misses it at the end.
+def test_grid_on_a_power_law_table_certifies_each_order_alone(monkeypatch):
+    # A power-law tail shares no walk. With a vacuous cap (c0 = 160 > 1) and
+    # a slack of 90, the integral bound at k = 1 grows with the power: the
+    # smallest order misses the slack at k = 1, where every larger one meets
+    # it, so its cut lies past theirs. The largest misses the slack at the
+    # table end.
+    calls = _count_cut_guesses(monkeypatch)
     table = Tabulated([0.5, 0.25], tail=PowerLawTail(k0=1, c0=160.0, alpha=2.5))
     grid = [0.6 * i / 22.0 for i in range(1, 22)]
     results = certify_module._certify_orders(table, table.tail, grid, 90.0)
+    assert calls == []
     assert [result.truncation_index for result in results[:-1]] == [2] + [1] * 19
     assert isinstance(results[-1], ModelError)
     for r, result in zip(grid, results):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +293,37 @@ def test_samplesize_near_vacuous_target(capsys):
         ["samplesize", "geometric:0.5", "--eps", "0.5", "--delta", "1.999"]
     ) == EXIT_OK
     assert capsys.readouterr().out.strip().endswith("1")
+
+
+class _PastOneSecond(Exception):
+    """Not an ``OSError``, which ``main`` would report as a usage error."""
+
+
+def _alarm(signum, frame):
+    raise _PastOneSecond
+
+
+@pytest.mark.parametrize("eps", ["1e-300", "1e-160", "1e-140"])
+def test_samplesize_at_a_tiny_radius_hits_the_cap(capsys, eps):
+    # eps**2 underflows to 0 (1e-300) or to a subnormal the closed form
+    # overflows on (1e-160); at 1e-140 the closed form is finite but far past
+    # 2**53, where stepping n by one no longer changes n * eps**2.
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["samplesize", "geometric:0.5", "--delta", "0.05", "--eps", eps])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"radius {eps} at delta 0.05" in err and "2**53" in err
+
+
+def test_samplesize_just_below_the_cap(capsys):
+    assert main(["samplesize", "geometric:0.5", "--delta", "0.05", "--eps", "1e-7"]) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith(" 4019622318081783")
 
 
 def test_samplesize_needs_exactly_one_mode(capsys):
