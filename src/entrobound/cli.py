@@ -29,6 +29,7 @@ from .bounds import (
 from .certify import (
     DEFAULT_SLACK,
     MomentCertificate,
+    _write_text,
     certify_moment,
     entropy_upper_coarse,
     power_sum_partial,
@@ -169,7 +170,7 @@ def _describe_choice(value, flag_given: bool) -> str:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -182,7 +183,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     certificate = _resolve_certificate(model, None, args.r, args.slack, args.target_eps)
     text = certificate.to_json()
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -286,7 +287,7 @@ def _emit_reports(reports: list[SimulationReport], fmt: str, out: str | None) ->
         rendered = "\n".join(_report_text(r) for r in reports)
     if out:
         # a text-format run still gets machine-readable output on disk
-        Path(out).write_text(rendered if fmt != "text" else reports_to_csv(reports))
+        _write_text(out, rendered if fmt != "text" else reports_to_csv(reports))
         if fmt == "text":
             sys.stdout.write(rendered)
     else:
@@ -392,25 +393,35 @@ def _add_cert_options(sub: argparse.ArgumentParser, with_target: bool = True) ->
         )
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parsing reads it
     and never changes it, so every ``main`` call can share it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and a map from each subcommand's name to its parser."""
     parser = argparse.ArgumentParser(
         prog="entrobound",
         description="Certified moment bounds and deviation inequalities for "
         "log-likelihood means of discrete models.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("certify", help="compute and optionally save a moment certificate")
+    def add(name: str, **kwargs) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
+
+    p = add("certify", help="compute and optionally save a moment certificate")
     p.add_argument("model", help="model spec, e.g. geometric:0.5 or tabulated:probs.json")
     _add_cert_options(p)
     p.add_argument("--out", default=None, help="write the certificate JSON here")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(handler=_cmd_certify)
 
-    p = sub.add_parser("bound", help="evaluate the deviation bound at given radii")
+    p = add("bound", help="evaluate the deviation bound at given radii")
     p.add_argument("model", nargs="?", default=None, help="model spec (omit when using --cert)")
     p.add_argument("--cert", default=None, help="load a saved certificate instead of certifying")
     _add_cert_options(p)
@@ -420,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser(
+    p = add(
         "samplesize", help="invert the bound for a sample size or achievable radius"
     )
     p.add_argument("model", nargs="?", default=None, help="model spec (omit when using --cert)")
@@ -432,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(handler=_cmd_samplesize)
 
-    p = sub.add_parser("simulate", help="estimate deviation frequencies against the bound")
+    p = add("simulate", help="estimate deviation frequencies against the bound")
     p.add_argument("model", help="model spec")
     p.add_argument("--cert", default=None, help="load a saved certificate instead of certifying")
     _add_cert_options(p, with_target=False)
@@ -452,14 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run a batch of simulations from a JSON config")
+    p = add("sweep", help="run a batch of simulations from a JSON config")
     p.add_argument("--config", required=True, help="JSON list of simulate configs")
     p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", default=None, help="write results here (CSV unless --format json)")
     p.add_argument("--format", choices=["text", "csv", "json"], default="csv")
     p.set_defaults(handler=_cmd_sweep)
 
-    return parser
+    return parser, commands
 
 
 def _code_for(exc: BaseException) -> int:
@@ -473,9 +484,19 @@ def _code_for(exc: BaseException) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            # no command, an unknown one or --help: the full parser reports it
+            args = parser.parse_args(argv)
+        else:
+            # what the full parser would do, without its pass over argv
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage errors
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

@@ -7,8 +7,10 @@ import math
 import os
 import shutil
 import signal
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,7 @@ from entrobound.cli import (
     main,
     parse_model_spec,
 )
-from entrobound.errors import ModelError
+from entrobound.errors import AdmissibilityError, ModelError, ResourceCapError
 
 
 # -- model spec grammar ---------------------------------------------------------
@@ -367,6 +369,79 @@ def test_simulate_writes_output_file(tmp_path, capsys):
     # text goes to the terminal, machine-readable rows to the file
     assert "eps=" in capsys.readouterr().out
     assert out_path.read_text().startswith("model,n,")
+
+
+_SIMULATE_ARGV = ["simulate", "geometric:0.5", "--n", "30", "--eps", "0.6", "--replicates", "300", "--seed", "4"]
+
+# Each --out writer: (argv writing the file, argv printing the file's bytes).
+_OUT_WRITERS = {
+    "certify": (["certify", "geometric:0.5"], ["certify", "geometric:0.5", "--format", "json"]),
+    "bound": (
+        ["bound", "geometric:0.5", "--n", "100", "--eps", "0.5,1.0"],
+        ["bound", "geometric:0.5", "--n", "100", "--eps", "0.5,1.0"],
+    ),
+    "simulate-csv": ([*_SIMULATE_ARGV, "--format", "csv"], [*_SIMULATE_ARGV, "--format", "csv"]),
+    "simulate-text": ([*_SIMULATE_ARGV, "--format", "text"], [*_SIMULATE_ARGV, "--format", "csv"]),
+}
+
+
+@pytest.mark.parametrize("writer", _OUT_WRITERS)
+def test_out_overwrites_a_longer_file_with_exactly_the_new_bytes(tmp_path, capsys, writer):
+    argv, printing = _OUT_WRITERS[writer]
+    assert main(printing) == EXIT_OK
+    expected = capsys.readouterr().out.encode()
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * (3 * len(expected)))
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("writer", _OUT_WRITERS)
+def test_out_to_dev_null_succeeds(capsys, writer):
+    assert main([*_OUT_WRITERS[writer][0], "--out", os.devnull]) == EXIT_OK
+
+
+def test_out_to_a_fifo_writes_the_bytes(tmp_path, capsys):
+    assert main(["certify", "geometric:0.5", "--format", "json"]) == EXIT_OK
+    expected = capsys.readouterr().out.encode()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(["certify", "geometric:0.5", "--out", str(fifo)]) == EXIT_OK
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():
+            # the command never opened the FIFO: release the blocked reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert received == [expected]
+
+
+def test_out_creates_a_file_with_the_default_mode(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    umask = os.umask(0o027)
+    try:
+        assert main(["certify", "geometric:0.5", "--out", str(path)]) == EXIT_OK
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+
+def test_out_never_opens_with_truncation(tmp_path, capsys, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    path = str(tmp_path / "out")
+    for argv, _ in _OUT_WRITERS.values():
+        assert main([*argv, "--out", path]) == EXIT_OK
+    assert len(flags) == len(_OUT_WRITERS) and not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_simulate_json_format(capsys):
@@ -844,6 +919,76 @@ def test_file_readers_end_in_an_exit_code_never_a_traceback(tmp_path_factory, da
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
     assert main(["simulate", "--help"]) == EXIT_OK
+
+
+def _reference_main(argv):
+    """``main`` as it parsed before: the full parser, then the handler."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    try:
+        return args.handler(args)
+    except (ModelError, AdmissibilityError, ResourceCapError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli._code_for(exc)
+
+
+def _captured(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_VALID_CALLS = [
+    ["certify", "geometric:0.5", "--slack", "0.001"],
+    ["bound", "poisson:2", "--n", "100", "--eps", "0.5,1.0", "--format", "csv"],
+    ["samplesize", "geometric:0.5", "--eps", "0.5", "--delta", "0.05", "--format", "json"],
+    [*_SIMULATE_ARGV, "--format", "csv"],
+    ["sweep", "--config", "{sweep}"],
+]
+
+
+def _with_sweep_config(argv, tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps([{"model": "geometric:0.5", "n": 20, "eps": [0.6], "replicates": 100}]))
+    return [arg.replace("{sweep}", str(config)) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "geometric:0.5", "--bogus"],
+    ["certify", "geometric:0.5", "stray"],
+    ["certify"],
+    ["bound", "geometric:0.5", "--eps", "0.5"],
+    ["bound", "geometric:0.5", "--n", "ten", "--eps", "0.5"],
+    ["certify", "geometric:0.5", "--format", "yaml"],
+    ["bound", "geometric:0.5", "--eps", "0.5", "--n"],
+    ["certify", "--", "geometric:0.5"],
+    [],
+    ["frobnicate", "geometric:0.5"],
+    ["--help"],
+    ["certify", "-h"],
+    *_VALID_CALLS,
+], ids=" ".join)
+def test_dispatch_matches_the_full_parser(tmp_path, argv):
+    argv = _with_sweep_config(argv, tmp_path)
+    expected = _captured(_reference_main, argv)
+    assert _captured(main, argv) == expected
+    assert expected[0] in (EXIT_OK, EXIT_USAGE)
+
+
+def test_a_subcommand_is_parsed_without_the_full_parser(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+    for argv in _VALID_CALLS:
+        assert main(_with_sweep_config(argv, tmp_path)) == EXIT_OK
+    assert main(["certify", "geometric:0.5", "--bogus"]) == EXIT_USAGE
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="the full parser ran"):
+        main(["--help"])
 
 
 def test_reused_parser_carries_nothing_between_calls(capsys):
