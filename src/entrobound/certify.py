@@ -20,8 +20,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import os
-import stat
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,34 +113,11 @@ class MomentCertificate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str | Path) -> None:
-        _write_text(path, self.to_json())
+        Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "MomentCertificate":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as ``Path.write_text`` would, with its
-    encoding, newline handling and ``0o666`` creation mode, but overwrite an
-    existing file in place: open it without ``O_TRUNC`` and cut a regular
-    file that was longer to the new length. Truncating to zero first makes
-    ext4 start writeback when the file closes, which costs more than the
-    write. Devices and FIFOs (``/dev/null``) are written and never cut.
-
-    Nothing here calls ``fsync``, as ``Path.write_text`` did not: the bytes
-    reach the disk when the kernel flushes them. A write that fails part way
-    can leave the old file's tail after the new bytes, where truncating
-    first left a short file; neither is a whole file."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="locale") as handle:
-        handle.write(text)
-        handle.flush()
-        status = os.fstat(fd)
-        if stat.S_ISREG(status.st_mode):
-            end = os.lseek(fd, 0, os.SEEK_CUR)
-            if status.st_size > end:
-                os.ftruncate(fd, end)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .bounds import (
 from .certify import (
     DEFAULT_SLACK,
     MomentCertificate,
-    _write_text,
     certify_moment,
     entropy_upper_coarse,
     power_sum_partial,
@@ -170,7 +169,7 @@ def _describe_choice(value, flag_given: bool) -> str:
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        _write_text(out, text)
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -183,7 +182,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     certificate = _resolve_certificate(model, None, args.r, args.slack, args.target_eps)
     text = certificate.to_json()
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text)
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -287,7 +286,7 @@ def _emit_reports(reports: list[SimulationReport], fmt: str, out: str | None) ->
         rendered = "\n".join(_report_text(r) for r in reports)
     if out:
         # a text-format run still gets machine-readable output on disk
-        _write_text(out, rendered if fmt != "text" else reports_to_csv(reports))
+        Path(out).write_text(rendered if fmt != "text" else reports_to_csv(reports))
         if fmt == "text":
             sys.stdout.write(rendered)
     else:

@@ -11,7 +11,6 @@ Closed forms used as oracles here:
 
 import dataclasses
 import math
-import os
 import time
 
 import mpmath
@@ -671,31 +670,6 @@ def test_to_dict_matches_asdict_and_is_a_copy(geom_half):
     payload["C_r"] = 0.0
     assert cert.to_dict() == dataclasses.asdict(cert)
     assert cert.C_r > 0
-
-
-def test_save_overwrites_a_longer_file_with_exactly_the_new_bytes(tmp_path, geom_half):
-    cert = certify_moment(geom_half, r=0.5, eps=1e-6)
-    path = tmp_path / "cert.json"
-    path.write_text("x" * 1000)
-    cert.save(path)
-    assert path.read_bytes() == cert.to_json().encode()
-    assert MomentCertificate.load(path) == cert
-
-
-def test_save_never_opens_with_truncation(tmp_path, geom_half, monkeypatch):
-    flags = []
-    real_open = os.open
-
-    def recording(path, flag, *args, **kwargs):
-        flags.append(flag)
-        return real_open(path, flag, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", recording)
-    path = tmp_path / "cert.json"
-    cert = certify_moment(geom_half, r=0.5)
-    cert.save(path)
-    cert.save(path)
-    assert len(flags) == 2 and not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_certificate_validation():

@@ -7,10 +7,8 @@ import math
 import os
 import shutil
 import signal
-import stat
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -394,54 +392,6 @@ def test_out_overwrites_a_longer_file_with_exactly_the_new_bytes(tmp_path, capsy
     path.write_bytes(b"x" * (3 * len(expected)))
     assert main([*argv, "--out", str(path)]) == EXIT_OK
     assert path.read_bytes() == expected
-
-
-@pytest.mark.parametrize("writer", _OUT_WRITERS)
-def test_out_to_dev_null_succeeds(capsys, writer):
-    assert main([*_OUT_WRITERS[writer][0], "--out", os.devnull]) == EXIT_OK
-
-
-def test_out_to_a_fifo_writes_the_bytes(tmp_path, capsys):
-    assert main(["certify", "geometric:0.5", "--format", "json"]) == EXIT_OK
-    expected = capsys.readouterr().out.encode()
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    received = []
-    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
-    reader.start()
-    try:
-        assert main(["certify", "geometric:0.5", "--out", str(fifo)]) == EXIT_OK
-    finally:
-        reader.join(timeout=10)
-        if reader.is_alive():
-            # the command never opened the FIFO: release the blocked reader
-            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-    assert received == [expected]
-
-
-def test_out_creates_a_file_with_the_default_mode(tmp_path, capsys):
-    path = tmp_path / "cert.json"
-    umask = os.umask(0o027)
-    try:
-        assert main(["certify", "geometric:0.5", "--out", str(path)]) == EXIT_OK
-    finally:
-        os.umask(umask)
-    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
-
-
-def test_out_never_opens_with_truncation(tmp_path, capsys, monkeypatch):
-    flags = []
-    real_open = os.open
-
-    def recording(path, flag, *args, **kwargs):
-        flags.append(flag)
-        return real_open(path, flag, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", recording)
-    path = str(tmp_path / "out")
-    for argv, _ in _OUT_WRITERS.values():
-        assert main([*argv, "--out", path]) == EXIT_OK
-    assert len(flags) == len(_OUT_WRITERS) and not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_simulate_json_format(capsys):
