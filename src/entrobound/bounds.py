@@ -69,10 +69,22 @@ class BernsteinConstants:
             raise ValueError(f"c2 must be positive and finite, got {self.c2!r}")
 
 
+def _variance_proxy(C_r: float, r: float) -> float:
+    """c1 = 2 * C_r / (sqrt(pi) * r**2), refused where it leaves the float range."""
+    scale = SQRT_PI * r * r
+    c1 = 2.0 * C_r / scale if scale > 0 else math.inf
+    if not math.isfinite(c1):
+        raise ValueError(
+            f"moment order r={r!r} with C_r={C_r!r} gives c1 = 2*C_r/(sqrt(pi)*r**2), "
+            f"which is not a finite float"
+        )
+    return c1
+
+
 def bernstein_constants(certificate: MomentCertificate) -> BernsteinConstants:
     """Constants (c1, c2) induced by a moment certificate."""
     r = certificate.r
-    return BernsteinConstants(c1=2.0 * certificate.C_r / (SQRT_PI * r * r), c2=2.0 / r)
+    return BernsteinConstants(c1=_variance_proxy(certificate.C_r, r), c2=2.0 / r)
 
 
 def _check_n(n: int) -> int:
@@ -108,7 +120,7 @@ def heterogeneous_deviation_bound(
     if any(c.r != r for c in certificates):
         raise AdmissibilityError("certificates carry mixed moment orders; recertify at a shared r")
     mean_c = math.fsum(c.C_r for c in certificates) / n
-    constants = BernsteinConstants(c1=2.0 * mean_c / (SQRT_PI * r * r), c2=2.0 / r)
+    constants = BernsteinConstants(c1=_variance_proxy(mean_c, r), c2=2.0 / r)
     return deviation_bound(constants, n, eps)
 
 
@@ -121,6 +133,8 @@ def mgf_log_bound(certificate: MomentCertificate, lam: float) -> float:
     r = certificate.r
     if not (math.isfinite(lam) and abs(lam) < r):
         raise ValueError(f"lambda must lie in (-r, r) = (-{r:g}, {r:g}), got {lam!r}")
+    # the envelope is c1 / 4 * lam**2 / (1 - |lam|/r), so it also needs c1
+    _variance_proxy(certificate.C_r, r)
     return (
         certificate.C_r
         * (lam * lam)

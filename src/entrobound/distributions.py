@@ -268,12 +268,13 @@ class _InverseCdf:
     Holds the cumulative masses of outcomes offset+1..offset+size, whether
     growing further is futile, and a guide table over [0, 1) built on first
     use; lookups score with the model's head. The ``offset`` outcomes before
-    them have cumulative mass exactly 0.0 and are not stored: a binary search
-    for any u >= 0 passes over them, so no draw selects one. A cache that
-    grows is a new record, so the guide always describes its own CDF. When
-    the cache ends inside a growth chunk, ``base`` and ``carry`` are that
-    chunk's starting mass and the running sum of its masses so far, from
-    which ``PmfModel._extend_cdf`` resumes it.
+    them have cumulative mass exactly 0.0 and are not stored (``_extend_cdf``
+    moves them into the offset): a binary search for any u >= 0 passes over
+    them, so no draw selects one. A cache that grows is a new record, so the
+    guide always describes its own CDF. When the cache ends inside a growth
+    chunk, ``base`` and ``carry`` are that chunk's starting mass and the
+    running sum of its masses so far, from which ``PmfModel._extend_cdf``
+    resumes it.
 
     The guide (indexed search: Chen & Asau 1974; Devroye 1986, III.2.4)
     splits [0, 1) into m = 2**b equal buckets. Bucket j records how many
@@ -290,11 +291,7 @@ class _InverseCdf:
     """
 
     def __init__(self, cdf: np.ndarray, offset: int = 0, base: float = 0.0, carry: float = 0.0) -> None:
-        # Leading entries of exactly 0.0 move into the offset; the copy
-        # frees the array that held them.
-        zeros = int(np.searchsorted(cdf, 0.0, side="right"))
-        self.cdf = cdf[zeros:].copy() if zeros else cdf
-        self.offset = offset + zeros
+        self.cdf, self.offset = cdf, offset
         self.base, self.carry = base, carry
         self.exhausted = False
         self._guide: tuple[np.ndarray, np.ndarray] | None = None
@@ -723,6 +720,11 @@ class Poisson(PmfModel):
     def tail_certificate(self) -> GeometricRatioTail:
         # Successive masses shrink by rate/k, which is at most one half for
         # every outcome index k >= ceil(2 * rate).
+        if not 2.0 * self.rate < 2.0**53:
+            raise ResourceCapError(
+                f"poisson rate {self.rate!r} starts its ratio tail at index ceil(2 * rate), "
+                f"past every truncation cap"
+            )
         return GeometricRatioTail(k0=math.ceil(2.0 * self.rate), q=0.5)
 
     def _tail_mass_floor(self, k: int) -> float:
@@ -962,7 +964,8 @@ class Tabulated(PmfModel):
         # table or not; then the unlisted mass must fit under its cap.
         n = self.masses.size
         tail = self.tail
-        tail._check(self, np.arange(tail.k0 + 1, n + 1, dtype=np.int64))
+        if tail.k0 < n:
+            tail._check(self, np.arange(tail.k0 + 1, n + 1, dtype=np.int64))
         if self.is_complete():
             return
         # Either shape leaves the masses n+1..k0 unbounded when k0 > n.

@@ -12,8 +12,8 @@ not depend on scheduling, worker count, or chunk boundaries. Identical
 (config, certificate) inputs give bit-identical reports.
 
 The replicate engine derives those streams a seeding block of replicates
-at a time, replaying SeedSequence and PCG64 seeding: the seed's words are
-mixed once on Python ints, and the spawn keys, the output words and
+at a time: numpy's SeedSequence mixes the seed into its entropy pool, and
+the replay starts at the spawn key. The spawn keys, the output words and
 PCG64's 128-bit seeding step run on uint32 and uint64 arrays, the 128-bit
 products on 64-bit (high, low) halves. It loads each replicate's state by
 writing the four uint64 words of PCG64's ``state`` and ``inc`` straight
@@ -154,9 +154,9 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
-# its PCG64 (the default 128-bit LCG multiplier). _spawn_states replays
-# both, on Python ints for the seed and on uint32 and uint64 arrays, one
-# replicate per column, for the spawn keys.
+# its PCG64 (the default 128-bit LCG multiplier). numpy mixes the seed into
+# the pool; _spawn_states replays the rest, on uint32 and uint64 arrays, one
+# replicate per column.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -180,21 +180,8 @@ _MAX_DRAWS = 2**24
 _MAX_REPLICATES = 2**27
 
 
-def _seed_words(seed: int) -> list[int]:
-    """Little-endian 32-bit words of a seed, as SeedSequence reads an int."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
-
-
 class _Hasher:
-    """SeedSequence's hashmix, on Python ints for the seed's words and on
-    uint32 arrays, one row per hash constant, for the spawn keys."""
+    """SeedSequence's hashmix on uint32 arrays, one row per hash constant."""
 
     def __init__(self, hash_const: int, mult: int):
         self._hash_const, self._mult = hash_const, mult
@@ -208,11 +195,6 @@ class _Hasher:
             steps.append((before, self._hash_const))
         return steps
 
-    def word(self, value: int) -> int:
-        ((before, after),) = self._steps(1)
-        value = (value ^ before) * after & _MASK32
-        return value ^ value >> 16
-
     def rows(self, values: np.ndarray, count: int) -> np.ndarray:
         """The next ``count`` steps as one (count, R) uint32 array, step j
         on row j of ``values``, which is (count, R) or a broadcast (R,)."""
@@ -221,11 +203,6 @@ class _Hasher:
         mixed *= steps[:, 1:]
         mixed ^= mixed >> np.uint32(16)
         return mixed
-
-
-def _mix_word(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
 
 
 def _absorb(pool: np.ndarray, word: np.ndarray, hasher: _Hasher) -> np.ndarray:
@@ -255,25 +232,22 @@ def _spawn_states(seed: int, indices: np.ndarray) -> np.ndarray:
     """PCG64 ``state`` and ``inc`` of ``_replicate_rng(seed, i)`` for each index,
     one row ``[state_lo, state_hi, inc_lo, inc_hi]`` of uint64 words per index.
 
-    Replays SeedSequence's entropy mixing, its ``generate_state(4, uint64)``
-    and PCG64's seeding step. The seed's words, the same for every index,
-    are mixed once on Python ints; the spawn key ``(i,)`` and everything
-    after it run on arrays, one column per index.
+    Starts from the pool of ``SeedSequence(seed)``, which numpy has mixed
+    from the seed's words, and replays the rest on arrays, one column per
+    index: absorbing the spawn key ``(i,)``, ``generate_state(4, uint64)``
+    and PCG64's seeding step.
     """
-    words = _seed_words(seed)
-    # A spawn key pads the run entropy to the pool size.
-    words += [0] * (_POOL_SIZE - len(words))
-    hasher = _Hasher(_INIT_A, _MULT_A)
-    pool = [hasher.word(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix_word(pool[dst], hasher.word(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        pool = [_mix_word(p, hasher.word(word)) for p in pool]
+    seed = operator.index(seed)
+    pool = np.random.SeedSequence(seed).pool
+    # Mixing a seed of w words took 16 + 4 * max(0, w - 4) hash steps: one
+    # per pool word, one per ordered pair of pool words, and four for each
+    # word past the pool. The spawn key's steps carry on from there.
+    words = max(1, -(-seed.bit_length() // 32))
+    steps = 16 + _POOL_SIZE * max(0, words - _POOL_SIZE)
+    hasher = _Hasher(_INIT_A * pow(_MULT_A, steps, 2**32) & _MASK32, _MULT_A)
 
     indices = np.asarray(indices, dtype=np.uint64)
-    mixed = _absorb(np.array(pool, dtype=np.uint32)[:, None], indices.astype(np.uint32), hasher)
+    mixed = _absorb(pool[:, None], indices.astype(np.uint32), hasher)
     high = np.flatnonzero(indices >> _SHIFT32)
     if high.size:
         # Indices of 2**32 and beyond carry a second spawn-key word.

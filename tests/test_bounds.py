@@ -6,6 +6,7 @@ r = 1/2) and rounding to the nearest float.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ def test_mgf_log_bound_domain():
         with pytest.raises(ValueError):
             mgf_log_bound(EXACT_GEOM_CERT, lam)
     assert mgf_log_bound(EXACT_GEOM_CERT, 0.0) == 0.0
+
+
+# r * r underflows to zero at 1e-300 (a ZeroDivisionError) and to a
+# subnormal at 1e-160 (an infinite c1, refused without naming r)
+@pytest.mark.parametrize("r", [1e-300, 1e-160])
+def test_an_order_whose_square_underflows_is_refused_by_name(r):
+    cert = MomentCertificate(r=r, C_r=1.5, slack=0.0, truncation_index=0, provenance="ratio")
+    message = re.escape(f"moment order r={r!r} with C_r=1.5 gives c1")
+    with pytest.raises(ValueError, match=message):
+        bernstein_constants(cert)
+    with pytest.raises(ValueError, match=message):
+        heterogeneous_deviation_bound([cert], 1, 0.5)
+    with pytest.raises(ValueError, match=message):
+        mgf_log_bound(cert, r / 2)
 
 
 def test_constants_validation():

@@ -507,6 +507,21 @@ def test_sweep_abort_flushes_partial_results(tmp_path, capsys):
     assert "geometric:0.5" in captured.out
 
 
+def test_sweep_entry_certified_while_reading_flushes_nothing(tmp_path, capsys):
+    # an entry with "slack" is certified before any entry runs, so the
+    # geometric entry before it never runs
+    config = [
+        {"model": "geometric:0.5", "n": 30, "eps": 0.8, "replicates": 300, "seed": 1},
+        {"model": "zeta:1.01", "n": 30, "eps": 0.8, "replicates": 300, "seed": 2, "slack": 1e-6},
+    ]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "content,fragment",
     [
@@ -715,6 +730,41 @@ def test_a_negative_binomial_tail_start_past_float_resolution_is_a_cap(capsys, s
     assert f"negative binomial size {float(size)!r} with prob 0.5" in err
 
 
+# Twice the rate overflows to inf at 1e308 and beyond, and k0 =
+# ceil(2 * rate) raised an OverflowError.
+@pytest.mark.parametrize("rate", ["1e308", "1.7976931348623157e308"])
+def test_a_poisson_tail_start_past_float_resolution_is_a_cap(capsys, rate):
+    assert main(["certify", f"poisson:{rate}"]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"poisson rate {float(rate)!r} starts its ratio tail" in err
+
+
+# r * r underflows to zero at 1e-300, which was a ZeroDivisionError, and to
+# a subnormal at 1e-160, which gave an infinite c1 and an error without r.
+@pytest.mark.parametrize("r", ["1e-300", "1e-160"])
+@pytest.mark.parametrize("source", ["spec", "cert"])
+@pytest.mark.parametrize("command", [
+    ["bound", "--n", "100", "--eps", "0.1"],
+    ["samplesize", "--eps", "0.1", "--delta", "0.05"],
+    ["simulate", "--n", "10", "--eps", "0.5", "--replicates", "100"],
+])
+def test_an_order_whose_square_underflows_is_a_usage_error(tmp_path, capsys, r, source, command):
+    if source == "spec":
+        argv = [command[0], "geometric:0.5", "--r", r, *command[1:]]
+    else:
+        cert = tmp_path / "cert.json"
+        assert main(["certify", "geometric:0.5", "--r", r, "--out", str(cert)]) == EXIT_OK
+        capsys.readouterr()
+        model = ["geometric:0.5"] if command[0] == "simulate" else []
+        argv = [command[0], *model, "--cert", str(cert), *command[1:]]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"moment order r={float(r)!r} with C_r=" in captured.err
+    assert captured.out == ""
+
+
 # With prob within about 1e-7 of 1 the float mass ratio is flat over
 # billions of indices around the tail start, so a unit-step search for it
 # never ended.
@@ -755,6 +805,27 @@ def test_an_unreachable_slack_on_a_power_law_table_names_its_end(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "is unreachable with only 10 listed masses" in err
+
+
+# k0 past the int64 range: the listed masses past k0 were checked with
+# np.arange(k0 + 1, n + 1), which numpy refused as too large
+def test_a_complete_table_with_a_tail_past_int64_certifies_through_its_end(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    tail = {"kind": "power_law", "k0": 1e30, "c0": 1, "alpha": 2}
+    table.write_text(json.dumps({"probs": [0.5, 0.5], "tail": tail}))
+    assert main(["certify", f"tabulated:{table}", "--format", "json"]) == EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["truncation_index"] == 2
+
+
+def test_an_incomplete_table_with_a_tail_past_int64_is_refused(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    tail = {"kind": "power_law", "k0": 1e30, "c0": 1, "alpha": 2}
+    table.write_text(json.dumps({"probs": [0.5, 0.25], "tail": tail}))
+    assert main(["certify", f"tabulated:{table}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"k0={int(1e30)}, beyond the 2 listed masses" in err
 
 
 def test_certify_rejects_a_tail_that_starts_past_the_table(tmp_path, capsys):

@@ -121,9 +121,13 @@ def _reference_means(model, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5, 2**128 + 3, 2**200 + 1])
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128, 2**128 + 3, 2**200 + 1, 2**300 - 1]
+)
 def test_spawned_states_match_replicate_streams(seed):
-    # spawn keys of 2**32 and beyond are two words of entropy
+    # seeds of 4 to 10 words reach the pool size and run past it, which
+    # moves where the spawn key's hash steps start; spawn keys of 2**32 and
+    # beyond are two words of entropy
     indices = np.array([*range(2048), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
     words = montecarlo._spawn_states(seed, indices)
     assert words.shape == (indices.size, 4) and words.dtype == np.uint64
@@ -296,6 +300,15 @@ def test_engine_rejects_seeds_that_seed_sequence_rejects(geom_half, seed):
         np.random.SeedSequence(seed)
     with pytest.raises((TypeError, ValueError)):
         replicate_log_likelihood_means(geom_half, n=5, replicates=100, seed=seed)
+
+
+def test_engine_takes_numpy_integer_seeds(geom_half):
+    indices = np.array([0, 5, 2**32 + 1], dtype=np.uint64)
+    for seed in (7, 2**63 + 5):
+        expected = montecarlo._spawn_states(seed, indices)
+        assert np.array_equal(montecarlo._spawn_states(np.uint64(seed), indices), expected)
+    means = replicate_log_likelihood_means(geom_half, n=5, replicates=100, seed=np.int64(7))
+    assert np.array_equal(means, replicate_log_likelihood_means(geom_half, n=5, replicates=100, seed=7))
 
 
 # -- deviation estimation ----------------------------------------------------------
