@@ -147,12 +147,15 @@ def mgf_log_bound(certificate: MomentCertificate, lam: float) -> float:
 def chernoff_lambda_star(certificate: MomentCertificate, n: int, t: float) -> float:
     """Optimising tilt t / (n * C_r / (sqrt(pi) * r**2) + t / r).
 
-    Always lands strictly inside (0, r).
+    Always lands strictly inside (0, r). An r so small that c1 leaves the
+    float range raises the ``ValueError`` of ``_variance_proxy``.
     """
     n = _check_n(n)
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"total deviation t must be positive and finite, got {t!r}")
     r = certificate.r
+    # the denominator is n * c1 / 2 + t / r, so it also needs c1
+    _variance_proxy(certificate.C_r, r)
     return t / (n * certificate.C_r / (SQRT_PI * r * r) + t / r)
 
 

@@ -181,21 +181,18 @@ def _log_pmf_sum(model: PmfModel, term, start: int, stop: int) -> float:
     """Sum ``term(log p_k, out)`` over k in [start, stop] by
     ``indexed_chunk_sum``. A range of one chunk that the head already holds
     reads it directly, with no more set-up than a slice. Otherwise each
-    chunk's log-pmf is read through ``model.log_pmf_range``: a chunk inside
-    the head's cap is a view of the head and its terms a fresh array (``out``
-    None); chunks past the cap are computed, and their terms written, into
-    one pair of buffers that every such chunk of the call reuses. ``term``
-    writes into ``out`` when given, with the operations it would apply to a
-    fresh array."""
+    chunk's log-pmf is read through ``model.log_pmf_range`` and its terms
+    are written into one pair of buffers that every chunk of the call
+    reuses: a chunk inside the head's cap is a view of the head, and one
+    past it is computed into the first buffer; the terms go into the second.
+    ``term`` writes into ``out`` when given, with the operations it would
+    apply to a fresh array."""
     head = model._head
     if head is not None and stop <= head.size and stop - start < CHUNK:
         return indexed_chunk_sum(lambda lo, hi: term(head[lo - 1 : hi], None), start, stop)
-    cap = model._head_cap()
     pair: list[np.ndarray] = []
 
     def chunk(lo: int, hi: int) -> np.ndarray:
-        if hi <= cap:
-            return term(model.log_pmf_range(lo, hi), None)
         if not pair:
             pair.extend(np.empty(min(CHUNK, stop - lo + 1), dtype=np.float64) for _ in range(2))
         size = hi - lo + 1

@@ -72,6 +72,38 @@ def _special():
     return scipy.special
 
 
+# The outcomes 1, 2, 3, ... as read-only float64, from which the package
+# takes the outcomes it passes to ``log_pmf_array``, in place of a fresh
+# index array per call. Built on first use, not at import, with 1024 entries,
+# and rebuilt at the next power of two when a range needs more, up to CHUNK.
+_outcome_table: np.ndarray | None = None
+
+
+class _Outcomes(np.ndarray):
+    """Consecutive outcomes lo..hi as float64 that the package built itself,
+    with 1 <= lo and hi < 2**53, so each is exact. ``_check_indices`` passes
+    them on as they are, without the cast and the check it gives a caller's
+    indices."""
+
+
+def _outcomes(lo: int, hi: int, out: np.ndarray | None = None) -> _Outcomes:
+    """The outcomes lo..hi, for 1 <= lo <= hi < 2**53 and at most ``CHUNK``
+    of them: a read-only view of the outcome table when hi <= ``CHUNK``,
+    else its first hi - lo + 1 entries plus lo - 1, written into ``out``
+    (or a fresh array). Either is bitwise ``np.arange(lo, hi + 1)`` cast to
+    float64, as every kernel casts it."""
+    global _outcome_table
+    size = hi if hi <= CHUNK else hi - lo + 1
+    table = _outcome_table
+    if table is None or table.size < size:
+        table = np.arange(1, min(CHUNK, max(1024, 1 << (size - 1).bit_length())) + 1, dtype=np.float64)
+        table.setflags(write=False)
+        _outcome_table = table
+    if hi <= CHUNK:
+        return table[lo - 1 : hi].view(_Outcomes)
+    return np.add(table[:size], lo - 1, out=out).view(_Outcomes)
+
+
 class _TailCertificate:
     """What both tail shapes share: one validation per power, and spot checks."""
 
@@ -421,17 +453,20 @@ class PmfModel(abc.ABC):
     log p_size: a read-only view of the filled prefix of a buffer whose
     capacity doubles, into which ``log_pmf_array`` writes the outcomes the
     head lacks, so growth computes no entry twice and copies entries only
-    when the capacity doubles. Scalar lookups double it from 1024 outcomes
-    and series ranges grow it to their last outcome, up to ``CHUNK`` (8 MiB)
-    and the table end; the sampling cache of cumulative masses grows it as
-    far as its own, a block of ``_CDF_BLOCK`` outcomes at a time and only
-    until it covers the largest uniform of a lookup, up to
-    ``_CDF_INDEX_CAP`` and the table end. No buffer's capacity passes the
-    cap of the caller that grows it. The cumulative masses grow into a
-    buffer of their own the same way, and the cache is one record viewing
-    its filled prefix, replaced when it grows, so a lookup never mixes two
-    states of it; it never affects sampled values, only speed. Pickling
-    drops the cache, the head and their buffers.
+    when the capacity doubles. The outcomes it is given are views of one
+    shared table of outcomes, or that table plus an offset written into the
+    buffer itself, never a fresh index array. Scalar lookups grow the head
+    to their outcome rounded up to a multiple of 1024 and series ranges to
+    their last outcome, up to ``CHUNK`` (8 MiB) and the table end; the
+    sampling cache of cumulative masses grows it as far as its own, a block
+    of ``_CDF_BLOCK`` outcomes at a time and only until it covers the
+    largest uniform of a lookup, up to ``_CDF_INDEX_CAP`` and the table end.
+    No buffer's capacity passes the cap of the caller that grows it. The
+    cumulative masses grow into a buffer of their own the same way, and the
+    cache is one record viewing its filled prefix, replaced when it grows,
+    so a lookup never mixes two states of it; it never affects sampled
+    values, only speed. Pickling drops the cache, the head and their
+    buffers.
     """
 
     def __init__(self) -> None:
@@ -483,44 +518,53 @@ class PmfModel(abc.ABC):
 
     def log_pmf(self, k: int) -> float:
         """log p_k for a single outcome k >= 1, read from the head when k <=
-        ``_head_cap()``. A head that lacks k is first doubled from 1024
-        outcomes until it holds it, so scattered lookups grow it rarely."""
+        ``_head_cap()``. A head that lacks k is first grown to k rounded up
+        to a multiple of 1024, so nearby lookups find it there and a lookup
+        just past a power of two computes about k log-masses, not 2k."""
         head = self._head
         if head is None or not 1 <= k <= head.size:
-            if not 1 <= k <= self._head_cap():
+            cap = self._head_cap()
+            if not 1 <= k <= cap:
                 return float(self.log_pmf_array(np.asarray([k], dtype=np.int64))[0])
-            head = self._grow_head(self._doubling(int(k)))
+            head = self._grow_head(min(cap, -(-int(k) // 1024) * 1024))
         return head.item(k - 1)
 
     def log_pmf_range(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """``log_pmf_array`` at the outcomes lo..hi (lo <= hi). A range the
         head holds, or that lies within ``_head_cap()``, is a read-only view
         of the head, grown to end exactly at hi if it ends before, so a
-        series computes the log-masses it reads and no more. Any other is
-        computed into ``out`` (hi - lo + 1 entries) or a fresh array, and not
-        stored."""
-        head = self._head
-        if head is None or not (1 <= lo and hi <= head.size):
-            if not (1 <= lo and hi <= self._head_cap()):
-                return self.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64), out)
-            head = self._grow_head(hi)
-        return head[lo - 1 : hi]
+        series computes the log-masses it reads and no more; ``out`` is then
+        left alone. Any other is computed into ``out`` (hi - lo + 1 entries)
+        or a fresh array, and not stored: from the outcome table, for a range
+        of outcomes from 1 to below 2**53 of at most ``CHUNK`` entries, and
+        otherwise from the int64 indices a caller would pass, which are
+        checked as theirs are."""
+        if lo >= 1:
+            head = self._head
+            if head is not None and hi <= head.size:
+                return head[lo - 1 : hi]
+            if hi <= self._head_cap():
+                return self._grow_head(hi)[lo - 1 : hi]
+            if hi - lo < CHUNK and hi < 2**53:
+                out = np.empty(hi - lo + 1, dtype=np.float64) if out is None else out
+                return self.log_pmf_array(_outcomes(lo, hi, out), out)
+        return self.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64), out)
 
     def _doubling(self, k: int) -> int:
-        """The size, doubled from 1024 outcomes, that holds outcome ``k``, at
-        most ``_head_cap()``."""
+        """The capacity of a head buffer that holds outcome ``k``: doubled
+        from 1024 outcomes, at most ``_head_cap()``."""
         return min(self._head_cap(), max(1024, 1 << (k - 1).bit_length()))
 
     def _grow_head(self, want: int) -> np.ndarray:
         """The head, grown to hold outcomes 1..``want`` (at most
-        ``_head_cap()``), computing only the outcomes it lacks. Its buffer
-        is sized by ``_doubling``, as a scalar lookup sizes the head, so a
-        growth that stops at ``want`` copies no more than one that fills the
-        buffer, and later growths fill it without copying."""
+        ``_head_cap()``), computing only the outcomes it lacks, from a view
+        of the outcome table. Its buffer's capacity is set by ``_doubling``,
+        so a run of growths copies the head only when they pass a power of
+        two, and fills the buffer without copying in between."""
         have = 0 if self._head is None else self._head.size
         if want > have:
             buf = self._head_buf = _reserve(self._head_buf, have, self._doubling(want), self._head_cap())
-            self.log_pmf_array(np.arange(have + 1, want + 1, dtype=np.int64), buf[have:want])
+            self.log_pmf_array(_outcomes(have + 1, want), buf[have:want])
             self._fill_head(want)
         return self._head
 
@@ -531,6 +575,10 @@ class PmfModel(abc.ABC):
         self._head = head
 
     def _check_indices(self, ks: np.ndarray) -> np.ndarray:
+        """``ks`` as int64 outcomes, refused when one is below 1; outcomes
+        the package built (``_Outcomes``) pass as the float64 they are."""
+        if type(ks) is _Outcomes:
+            return ks.view(np.ndarray)
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size and int(ks.min()) < 1:
             raise ModelError(f"outcomes are 1-based, got index {int(ks.min())}")
@@ -656,7 +704,7 @@ class PmfModel(abc.ABC):
             if stop > known:  # the head lacks outcomes new .. stop
                 new = max(known, have)
                 head = _reserve(head, new, stop, cap)
-                self.log_pmf_array(np.arange(new + 1, stop + 1, dtype=np.int64), head[new:stop])
+                self.log_pmf_array(_outcomes(new + 1, stop, head[new:stop]), head[new:stop])
             np.exp(head[have:stop], out=scratch[1 : size + 1])
             scratch[0] = carry
             np.cumsum(scratch[: size + 1], out=scratch[: size + 1])
@@ -1002,7 +1050,7 @@ class Tabulated(PmfModel):
                 f"mass unknown: outcome {int(ks.max())} lies beyond the "
                 f"{self.masses.size} listed masses and no exact tail is available"
             )
-        masses = np.take(self.masses, ks - 1, out=out)
+        masses = np.take(self.masses, ks.astype(np.intp, copy=False) - 1, out=out)
         return np.log(masses, out=masses)
 
     def tail_certificate(self) -> PowerLawTail | GeometricRatioTail:

@@ -393,6 +393,9 @@ def replicate_log_likelihood_means(
     ``seed`` is an integer >= 0; ``workers`` only changes how the work is
     scheduled.
     """
+    # The seed is checked as every replicate's stream checks it, before any
+    # runs, so a bad seed fails alike with 0 replicates and with many.
+    np.random.SeedSequence(operator.index(seed))
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not (isinstance(replicates, int) and replicates >= 0):

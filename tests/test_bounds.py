@@ -144,6 +144,9 @@ def test_an_order_whose_square_underflows_is_refused_by_name(r):
         heterogeneous_deviation_bound([cert], 1, 0.5)
     with pytest.raises(ValueError, match=message):
         mgf_log_bound(cert, r / 2)
+    # its tilt divides by r**2 too, and must stay strictly inside (0, r)
+    with pytest.raises(ValueError, match=message):
+        chernoff_lambda_star(cert, 100, 50.0)
 
 
 def test_constants_validation():

@@ -1053,6 +1053,8 @@ def test_scipy_is_imported_only_for_the_models_that_need_it(tmp_path):
     code = (
         "import sys\n"
         "from entrobound.cli import main\n"
+        "from entrobound import distributions\n"
+        "print('outcome table:', distributions._outcome_table)\n"
         f"main(['certify', 'geometric:0.5', '--out', {cert!r}])\n"
         f"main(['bound', '--cert', {cert!r}, '--n', '100', '--eps', '0.5'])\n"
         "print('loaded:', 'scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)\n"
@@ -1066,6 +1068,8 @@ def test_scipy_is_imported_only_for_the_models_that_need_it(tmp_path):
     assert result.returncode == 0, result.stderr
     loaded = [line for line in result.stdout.splitlines() if line.startswith("loaded:")]
     assert loaded == ["loaded: False False", "loaded: True"]
+    # the outcome table is built on first use, not at import
+    assert "outcome table: None" in result.stdout.splitlines()
 
 
 def test_console_script_is_installed(tmp_path):

@@ -498,17 +498,120 @@ def test_head_is_bitwise_log_pmf_array(model, k):
     assert model._head.tobytes() == direct.tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 1023, 1024, 1025, 2**20, 2**20 + 1])
+@pytest.mark.parametrize("k", [1, 1023, 1024, 1025, 2049, 65537, 2**20, 2**20 + 1])
 def test_head_sizes_at_the_doubling_edges(k):
     fresh = Geometric(1e-6)
     assert fresh.log_pmf(k) == _direct(fresh, k)
-    want = {1: 1024, 1023: 1024, 1024: 1024, 1025: 2048, 2**20: 2**20}.get(k)
+    # k rounded up to a multiple of 1024, not to a power of two
+    want = {1: 1024, 1023: 1024, 1024: 1024, 1025: 2048, 2049: 3072, 65537: 66560, 2**20: 2**20}.get(k)
     assert (None if fresh._head is None else fresh._head.size) == want
     # On a model whose head is already full, the same outcome reads the same.
     full = Geometric(1e-6)
     full.log_pmf(2**20)
     assert full.log_pmf(k) == _direct(fresh, k)
     assert full._head.size == 2**20
+
+
+def test_a_ladder_leaves_a_head_sized_to_its_cut():
+    # Its rungs probe p_(2**j + 1), and each probe grows the head only to
+    # the next multiple of 1024.
+    model = Geometric(0.001054)
+    cut = certify_moment(model, eps=1.14e-6).truncation_index
+    assert cut == 33_768
+    assert model._head.size <= 2 * cut + 1024
+
+
+# outcomes where the head, the outcome table and the ranges past it change
+_EDGES = sorted(
+    {1, 1023, 1024, 1025, dist.CHUNK - 1, dist.CHUNK, dist.CHUNK + 1}
+    | {2**k + d for k in range(1, 22) for d in (-1, 0, 1)}
+)
+_outcome = st.one_of(st.sampled_from(_EDGES), st.integers(1, dist.CHUNK + 2**16))
+
+
+def _fresh(model):
+    """A copy of ``model`` with no head and no sampling cache."""
+    return pickle.loads(pickle.dumps(model))
+
+
+def _arange_bytes(model, lo, hi):
+    return model.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64)).tobytes()
+
+
+def _head_is_arange(model):
+    return model._head is None or model._head.tobytes() == _arange_bytes(model, 1, model._head.size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_head_models, _outcome, _outcome, st.booleans())
+@example(Geometric(1e-4), 1023, 1025, False)
+@example(Zeta(2.5), dist.CHUNK - 1, dist.CHUNK + 1, False)
+@example(Poisson(3e4), dist.CHUNK + 1, dist.CHUNK + 2**16, False)
+@example(NegativeBinomial(2.5, 0.99), 2**17 + 1, dist.CHUNK, False)
+@example(Tabulated(np.full(3000, 1 / 3000)), 2049, 1, True)
+@example(Tabulated([0.5, 0.25], tail=GeometricRatioTail(k0=1, q=0.5)), 1, 2, True)
+def test_every_way_to_a_log_mass_is_bitwise_log_pmf_array(model, a, b, at_end):
+    end = model.max_index()
+    if end is not None:
+        a, b = min(a, end), end if at_end else min(b, end)
+    lo, hi = min(a, b), max(a, b)
+    direct = _arange_bytes(model, lo, hi)
+    cap = model._head_cap()
+    # a range, as a view of a head grown to it or computed past the cap
+    ranged = _fresh(model)
+    assert ranged.log_pmf_range(lo, hi).tobytes() == direct
+    out = np.empty(hi - lo + 1)
+    assert ranged.log_pmf_range(lo, hi, out).tobytes() == direct
+    assert (ranged._head is None) == (hi > cap) and _head_is_arange(ranged)
+    # a head grown by ranges, in two steps
+    grown = _fresh(model)
+    grown.log_pmf_range(lo, lo)
+    grown.log_pmf_range(1, min(hi, cap))
+    assert grown._head.size == min(hi, cap) and _head_is_arange(grown)
+    # a head grown by scalar probes
+    probed = _fresh(model)
+    for k in (lo, hi):
+        assert np.float64(probed.log_pmf(k)).tobytes() == np.float64(_direct(model, k)).tobytes()
+    inside = [k for k in (lo, hi) if k <= cap]
+    if inside:  # each probe rounds the head up to a multiple of 1024
+        assert probed._head.size == min(cap, -(-max(inside) // 1024) * 1024)
+    assert _head_is_arange(probed)
+    # a head grown by the sampling cache, up to about outcome hi
+    sampled = _fresh(model)
+    masses = np.exp(model.log_pmf_array(np.arange(1, hi + 1, dtype=np.int64)))
+    sampled._extend_cdf(math.fsum(masses) * (1 - 2**-40))
+    assert _head_is_arange(sampled)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_head_models, _outcome, st.integers(0, 3))
+def test_ranges_keep_the_errors_of_log_pmf_array(model, hi, below):
+    end = model.max_index()
+    ranges = [(-below, hi)] + ([] if end is None else [(min(hi, end), end + 1 + below)])
+    for lo, top in ranges:
+        with pytest.raises(ModelError) as direct:
+            model.log_pmf_array(np.arange(lo, top + 1, dtype=np.int64))
+        with pytest.raises(ModelError) as ranged:
+            _fresh(model).log_pmf_range(lo, top)
+        assert str(ranged.value) == str(direct.value)
+
+
+def test_ranges_the_outcome_table_cannot_hold_take_int64_outcomes():
+    model = Geometric(1e-3)
+    for lo, hi in [(2**53 - 2, 2**53 + 2), (5, dist.CHUNK + 5)]:
+        assert model.log_pmf_range(lo, hi).tobytes() == _arange_bytes(model, lo, hi)
+    assert model._head is None
+
+
+def test_a_deep_zeta_power_sum_is_bitwise_the_per_chunk_sum():
+    # the benchmark's deepest power-law sum: zeta near 2.53 at r = r_max / 2
+    model, alpha, stop = Zeta(2.533), 2.533, 2_808_368
+    r = (alpha - 1.0) / (2.0 * alpha)
+    parts = []
+    for lo in range(1, stop + 1, dist.CHUNK):
+        ks = np.arange(lo, min(lo + dist.CHUNK - 1, stop) + 1, dtype=np.int64)
+        parts.append(float(np.add.reduce(np.exp(model.log_pmf_array(ks) * (1.0 - r)))))
+    assert power_sum_partial(model, r, stop) == math.fsum(parts)
 
 
 def test_ranges_read_the_head_they_lie_in():

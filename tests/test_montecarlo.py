@@ -296,10 +296,14 @@ def test_engine_refuses_a_table_with_unlisted_mass():
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
 def test_engine_rejects_seeds_that_seed_sequence_rejects(geom_half, seed):
-    with pytest.raises((TypeError, ValueError)):
+    # a negative seed is a ValueError and a non-integer one a TypeError, also
+    # when no replicate runs
+    error = ValueError if isinstance(seed, int) else TypeError
+    with pytest.raises(error):
         np.random.SeedSequence(seed)
-    with pytest.raises((TypeError, ValueError)):
-        replicate_log_likelihood_means(geom_half, n=5, replicates=100, seed=seed)
+    for replicates in (0, 3, 100):
+        with pytest.raises(error):
+            replicate_log_likelihood_means(geom_half, n=5, replicates=replicates, seed=seed)
 
 
 def test_engine_takes_numpy_integer_seeds(geom_half):
