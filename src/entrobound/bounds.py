@@ -147,8 +147,10 @@ def mgf_log_bound(certificate: MomentCertificate, lam: float) -> float:
 def chernoff_lambda_star(certificate: MomentCertificate, n: int, t: float) -> float:
     """Optimising tilt t / (n * C_r / (sqrt(pi) * r**2) + t / r).
 
-    Always lands strictly inside (0, r). An r so small that c1 leaves the
-    float range raises the ``ValueError`` of ``_variance_proxy``.
+    Lands strictly inside (0, r), or raises ``ValueError``: an r so small
+    that c1 leaves the float range raises that of ``_variance_proxy``, and
+    an n past the float range, or an n and t so far apart that the tilt
+    rounds to 0 or to r, one naming them.
     """
     n = _check_n(n)
     if not (t > 0 and math.isfinite(t)):
@@ -156,7 +158,17 @@ def chernoff_lambda_star(certificate: MomentCertificate, n: int, t: float) -> fl
     r = certificate.r
     # the denominator is n * c1 / 2 + t / r, so it also needs c1
     _variance_proxy(certificate.C_r, r)
-    return t / (n * certificate.C_r / (SQRT_PI * r * r) + t / r)
+    try:
+        size = float(n)
+    except OverflowError:
+        raise ValueError(f"sample size n of {len(str(n))} digits lies past the float range") from None
+    tilt = t / (size * certificate.C_r / (SQRT_PI * r * r) + t / r)
+    if not 0.0 < tilt < r:
+        raise ValueError(
+            f"sample size n={n} and total deviation t={t!r} put the optimising tilt "
+            f"at {tilt!r}, not strictly inside (0, r={r!r}) in float arithmetic"
+        )
+    return tilt
 
 
 def min_sample_size(constants: BernsteinConstants, eps: float, delta: float) -> int:

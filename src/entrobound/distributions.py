@@ -50,13 +50,17 @@ _CDF_INDEX_CAP = 2**27
 _CDF_BLOCK = 2**14
 
 # A guide starts at 2**10 buckets and doubles, up to 2**16, while more than
-# this share of them hold two or more CDF entries, so that a uniform landing
-# there needs a binary search. Chosen by measurement (2-vCPU Xeon, numpy
-# 2.4): a binary search costs up to ~250 ns, so each 1/32 of crowded buckets
-# adds ~8 ns to a lookup of 4-7 ns, while a guide of 2**15 or 2**16 buckets
-# (0.5-1 MiB) misses cache and adds 1-4 ns. At this share zeta guides stay at
-# 2**10, Geometric(1e-2) gets 2**12, Geometric(1e-3) and Poisson(1e6) 2**15.
-_GUIDE_CROWDED_SHARE = 1 / 32
+# this share of them are split: a CDF entry lies inside them, so a uniform
+# landing there needs a binary search, where one in any other bucket is
+# scored with one gather from the guide. Chosen by measurement (2-vCPU Xeon,
+# numpy 2.4, three 8 s benchmark runs each at seed 3): mc-heavy cpu_ref_s
+# took 1.03 s at 1/32, 0.93 s at 1/128 and 0.95-0.97 s at 1/512, whose
+# larger guides miss cache more and cost more to build; mc-light took
+# 0.72-0.82 s at each share. At 1/128 light-tailed guides get 2**11
+# buckets, zeta guides for exponents 2.5 down to 2.1 get 2**13 to 2**15, and
+# Geometric(1e-3) or Poisson(1e6), whose entries spread over [0, 1), reach
+# 2**16 with 8-9% of the buckets split.
+_GUIDE_SPLIT_SHARE = 1 / 128
 
 # Absolute slack, on the log scale, granted when spot-checking certificate
 # inequalities that the model satisfies with equality up to rounding.
@@ -294,137 +298,127 @@ def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
     return shape(k0, *params)
 
 
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """Each value of a sorted array of integers >= 0, once."""
+    return ascending[np.diff(ascending, prepend=-1) > 0]
+
+
 class _InverseCdf:
     """One state of a model's inverse-CDF cache.
 
-    Holds the cumulative masses of outcomes offset+1..offset+size, whether
-    growing further is futile, and a guide table over [0, 1) built on first
-    use; lookups score with the model's head. The ``offset`` outcomes before
-    them have cumulative mass exactly 0.0 and are not stored (``_extend_cdf``
-    moves them into the offset): a binary search for any u >= 0 passes over
-    them, so no draw selects one. A cache that grows is a new record, so the
-    guide always describes its own CDF. When the cache ends inside a growth
-    chunk, ``base`` and ``carry`` are that chunk's starting mass and the
-    running sum of its masses so far, from which ``PmfModel._extend_cdf``
-    resumes it.
+    Holds the cumulative masses of outcomes offset+1..offset+size, their
+    log-masses (a view of the model's head), whether growing further is
+    futile, and a guide table over [0, 1) built on first use. The
+    ``offset`` outcomes before them have cumulative mass exactly 0.0 and
+    are not stored (``_extend_cdf`` moves them into the offset): a binary
+    search for any u >= 0 passes over them, so no draw selects one. A cache
+    that grows is a new record, so the guide always describes its own CDF.
+    When the cache ends inside a growth chunk, ``base`` and ``carry`` are
+    that chunk's starting mass and the running sum of its masses so far,
+    from which ``PmfModel._extend_cdf`` resumes it.
 
     The guide (indexed search: Chen & Asau 1974; Devroye 1986, III.2.4)
-    splits [0, 1) into m = 2**b equal buckets. Bucket j records how many
-    CDF entries are <= j/m and, when exactly one entry lies in
-    (j/m, (j+1)/m], that entry; a uniform in the bucket then needs one
-    comparison. Uniforms in buckets holding two or more entries fall back
-    to a binary search, so m starts at 2**10 and doubles while more than
-    ``_GUIDE_CROWDED_SHARE`` of the buckets are crowded, up to 2**16 (1 MiB).
-    A heavy tail piles its entries just below 1, into the last bucket or
-    two whatever m is, so it keeps a small guide that stays in cache; a
-    wide light-tailed model spreads them and gets a large one. Because m
-    is a power of two, u * m and j / m are exact, so every index equals
-    the binary search's.
+    splits [0, 1) into m = 2**b equal buckets and holds one log-mass per
+    bucket. With below[j] the number of CDF entries <= j/m, every uniform
+    in [j/m, (j+1)/m) selects position below[j], clamped to the last one,
+    unless a CDF entry lies in (j/m, (j+1)/m]; bucket j holds the log-mass
+    at that position, or NaN where such an entry splits it. ``scores``
+    then scores a uniform with one gather, and only one in a split bucket
+    with a binary search. m starts at 2**10 and doubles while more than
+    ``_GUIDE_SPLIT_SHARE`` of the buckets are split, up to 2**16 (512
+    KiB). Because m is a power of two, u * m and j / m are exact, so every
+    score is bit for bit the log-mass at the binary search's position.
     """
 
-    def __init__(self, cdf: np.ndarray, offset: int = 0, base: float = 0.0, carry: float = 0.0) -> None:
-        self.cdf, self.offset = cdf, offset
+    def __init__(
+        self, cdf: np.ndarray, log_pmf: np.ndarray, offset: int = 0, base: float = 0.0, carry: float = 0.0
+    ) -> None:
+        self.cdf, self.log_pmf, self.offset = cdf, log_pmf, offset
         self.base, self.carry = base, carry
         self.exhausted = False
-        self._guide: tuple[np.ndarray, np.ndarray] | None = None
+        self._guide: np.ndarray | None = None
 
     @property
     def top(self) -> float:
         """Cumulative mass of the last stored outcome, 0.0 if none is stored."""
         return float(self.cdf[-1]) if self.cdf.size else 0.0
 
-    def index(self, u: np.ndarray, work: _LookupBuffers | None = None) -> np.ndarray:
+    def index(self, u: np.ndarray) -> np.ndarray:
         """``np.searchsorted(cdf, u, side="right")`` clamped to ``size - 1``,
-        for uniforms ``u`` in [0, 1) of any shape, written into ``work`` or
-        into fresh buffers. This is a position in the stored masses; the
-        outcome drawn is ``offset + 1`` plus it."""
-        if self._guide is None:
-            self._guide = self._build_guide()
-        lo, thresh = self._guide
+        for uniforms ``u`` in [0, 1) of any shape. This is a position in the
+        stored masses; the outcome drawn is ``offset + 1`` plus it. A draw
+        past the cached mass, which happens only when the remaining tail is
+        below float resolution, folds onto the last cached outcome."""
+        return np.minimum(np.searchsorted(self.cdf, u, side="right"), self.cdf.size - 1)
+
+    def scores(self, u: np.ndarray, work: _LookupBuffers | None = None) -> np.ndarray:
+        """``log_pmf[index(u)]``, bit for bit, for uniforms ``u`` in [0, 1) of
+        any shape, written into ``work`` or into fresh buffers."""
+        guide = self._guide
+        if guide is None:
+            guide = self._guide = self._build_guide()
         if work is None:
             work = _LookupBuffers(u.size)
-        bucket, values, idx, mask = work.views(u.shape)
-        np.multiply(u, thresh.size, out=values)
-        np.copyto(bucket, values, casting="unsafe")
-        # Every bucket is in range, so mode="clip" never clips: u < 1 and m
-        # is a power of two, so u * m is exact and below m.
-        np.take(thresh, bucket, out=values, mode="clip")
-        np.take(lo, bucket, out=idx, mode="clip")
-        np.greater_equal(u, values, out=mask)
-        idx += mask
-        np.isnan(values, out=mask)
-        crowded = np.flatnonzero(mask)
-        if crowded.size:
-            found = np.searchsorted(self.cdf, u.reshape(-1)[crowded], side="right")
-            idx.reshape(-1)[crowded] = np.minimum(found, self.cdf.size - 1)
-        return idx
+        bucket, values, split = work.views(u.shape)
+        # u * m is exact and below m, so the cast's truncation is its floor,
+        # and mode="clip" never clips
+        np.multiply(u, guide.size, out=bucket, casting="unsafe")
+        np.take(guide, bucket, out=values, mode="clip")
+        np.isnan(values, out=split)
+        at = np.flatnonzero(split)
+        if at.size:
+            values.reshape(-1)[at] = self.log_pmf[self.index(u.reshape(-1)[at])]
+        return values
 
-    def _below(self, m: int) -> np.ndarray:
-        """``below[j]``, j < m, counts the entries <= j/m. An entry c is <=
-        j/m exactly when ceil(c * m) <= j, and for j < m only entries <=
-        (m-1)/m count, which skips the long tail of a heavy-tailed cache."""
-        cdf = self.cdf
-        head = cdf[: np.searchsorted(cdf, (m - 1) / m, side="right")]
-        return np.cumsum(np.bincount(np.ceil(head * m).astype(np.intp), minlength=m))
-
-    def _build_guide(self) -> tuple[np.ndarray, np.ndarray]:
+    def _build_guide(self) -> np.ndarray:
+        # An entry c <= 1 lies in bucket ceil(c * m) - 1. For m = 2**16 >>
+        # shift that is (ceil(c * 2**16) - 1) >> shift, scaling by a power of
+        # two being exact, so every size is read off the finest buckets.
+        # Those of the entries <= 1 - 2**-16 are computed, which skips the
+        # pile of entries a heavy tail has just below 1; the entries past
+        # them, up to 1, all lie in the last finest bucket, and one stands
+        # for them. An entry equal to (j+1)/m, and the last entry alone in
+        # its bucket, split a bucket whose uniforms all select one position;
+        # that costs a binary search, not a score.
         cdf, last = self.cdf, self.cdf.size - 1
-        ones = np.searchsorted(cdf, 1.0, side="right")
-        m, finest = 1 << 10, None
-        below = np.append(self._below(m), ones)
-        while True:
-            lo, points = below[:-1], np.diff(below)
-            if m == 1 << 16 or np.count_nonzero(points > 1) <= m * _GUIDE_CROWDED_SHARE:
-                break
-            # A bucket of more than s entries leaves a crowded one among its
-            # s parts at m * s, so skip each size those alone make too crowded.
-            s = 2
-            while m * s < 1 << 16 and np.count_nonzero(points > s) > m * s * _GUIDE_CROWDED_SHARE:
-                s *= 2
-            m *= s
-            # Every size past the first is read off the finest counts: for
-            # d = 2**16 / m, ceil(c * m) = ceil(ceil(c * 2**16) / d), scaling
-            # by a power of two being exact, so below[j] at m is the finest
-            # below[j * d].
-            if finest is None:
-                finest = self._below(1 << 16)
-            below = np.append(finest[:: (1 << 16) // m], ones)
-        # An entry equal to (j+1)/m counts as a point of bucket j, where no
-        # uniform reaches it; the comparison still gives the right index.
-        thresh = np.where(points == 1, cdf[np.minimum(lo, last)], np.inf)
-        thresh[points > 1] = np.nan  # marks the buckets that need the binary search
-        # Where every answer is at least the last index, the clamp is the
-        # answer. A crowded bucket holds the entries lo and lo + 1, so it is
-        # never one of these.
-        thresh[lo >= last] = np.inf
-        return np.minimum(lo, last).astype(np.intp, copy=False), thresh
+        head = cdf[: np.searchsorted(cdf, 1.0 - 2.0**-16, side="right")]
+        finest = np.ceil(head * 2.0**16).astype(np.intp) - 1
+        if np.searchsorted(cdf, 1.0, side="right") > head.size:
+            finest = np.append(finest, (1 << 16) - 1)
+        # the entries are sorted, so their buckets are too
+        occupied = _distinct(finest)
+        shift = 6
+        split = _distinct(occupied >> shift)
+        while shift and split.size > (1 << (16 - shift)) * _GUIDE_SPLIT_SHARE:
+            shift -= 1
+            split = _distinct(occupied >> shift)
+        # Each run of unsplit buckets, from bucket 0 and after each split
+        # one, selects one position: the number of entries in the buckets
+        # before the run, whose finest buckets lie below the run's first.
+        starts = np.append(-1, split)
+        before = np.searchsorted(finest, ((starts + 1) << shift) - 1, side="right")
+        values = np.full(2 * starts.size - 1, np.nan)
+        values[::2] = self.log_pmf[np.minimum(before, last)]
+        lengths = np.ones(values.size, dtype=np.intp)
+        lengths[::2] = np.diff(starts, append=1 << (16 - shift)) - 1
+        return np.repeat(values, lengths)
 
 
 class _LookupBuffers:
-    """The scratch arrays of inverse-CDF lookups of up to ``size`` uniforms:
-    the guide bucket, a float buffer, the index and a bool mask. The float
-    buffer holds u * m, then the guide's thresholds, then, once ``index``
-    has returned, the caller's scores. A caller that looks up tile after
-    tile passes one of these to every ``_lookup``; what a lookup returns
-    is a view into it, valid until the next lookup."""
+    """The scratch arrays of guided scoring of up to ``size`` uniforms: the
+    guide bucket, the scores and a bool mask of the split buckets. A caller
+    that scores tile after tile passes one of these to every ``scores``;
+    what ``scores`` returns is a view into it, valid until the next call."""
 
     def __init__(self, size: int) -> None:
         self.bucket = np.empty(size, dtype=np.intp)
         self.values = np.empty(size, dtype=np.float64)
-        self.idx = np.empty(size, dtype=np.intp)
         self.mask = np.empty(size, dtype=np.bool_)
 
     def views(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """The bucket, float, index and mask buffers, as arrays of ``shape``."""
+        """The bucket, score and mask buffers, as arrays of ``shape``."""
         size = math.prod(shape)
-        return tuple(a[:size].reshape(shape) for a in (self.bucket, self.values, self.idx, self.mask))
-
-    def scores(self, log_pmf: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """``log_pmf[idx]`` in the float buffer, for what ``_lookup`` returned.
-        Every index is in range, so mode="clip" never clips: the guide's index
-        is at most the last stored position, and the head covers the cache."""
-        out = self.values[: idx.size].reshape(idx.shape)
-        return np.take(log_pmf, idx, out=out, mode="clip")
+        return tuple(a[:size].reshape(shape) for a in (self.bucket, self.values, self.mask))
 
 
 def _cap_message(cap: int) -> str:
@@ -460,8 +454,9 @@ class PmfModel(abc.ABC):
     their last outcome, up to ``CHUNK`` (8 MiB) and the table end; the
     sampling cache of cumulative masses grows it as far as its own, a block
     of ``_CDF_BLOCK`` outcomes at a time and only until it covers the
-    largest uniform of a lookup, up to ``_CDF_INDEX_CAP`` and the table end.
-    No buffer's capacity passes the cap of the caller that grows it. The
+    largest uniform of a lookup, up to ``_CDF_INDEX_CAP`` and the table end,
+    first reserving the buffer as far as that growth must reach. No
+    buffer's capacity passes the cap of the caller that grows it. The
     cumulative masses grow into a buffer of their own the same way, and the
     cache is one record viewing its filled prefix, replaced when it grows,
     so a lookup never mixes two states of it; it never affects sampled
@@ -618,8 +613,8 @@ class PmfModel(abc.ABC):
     def _invert(self, u: np.ndarray) -> np.ndarray:
         if u.size == 0:
             return np.zeros(0, dtype=np.int64)
-        idx, _ = self._lookup(u)
-        return (idx + self._cache.offset + 1).astype(np.int64)
+        cache = self._lookup(u)
+        return (cache.index(u) + cache.offset + 1).astype(np.int64)
 
     def _tail_mass_floor(self, k: int) -> float:
         """A certified lower bound on the mass of the outcomes past ``k``.
@@ -631,13 +626,10 @@ class PmfModel(abc.ABC):
         """
         return 0.0
 
-    def _lookup(
-        self, u: np.ndarray, work: _LookupBuffers | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the uniforms ``u`` (in [0, 1), any shape) in the stored
-        masses, and the head viewed from there: position i is outcome
-        ``_cache.offset + 1 + i``. The positions are written into ``work``,
-        or into fresh buffers when none is given."""
+    def _lookup(self, u: np.ndarray) -> _InverseCdf:
+        """The cache, grown as far as the uniforms ``u`` (in [0, 1), any
+        shape) need, whose ``index`` and ``scores`` then place and score
+        them. Every draw goes through here."""
         target = float(u.max()) if u.size else 0.0
         cache = self._cache
         if cache is None or (cache.top <= target and not cache.exhausted):
@@ -651,10 +643,32 @@ class PmfModel(abc.ABC):
                 raise ResourceCapError(_cap_message(cap))
             self._extend_cdf(target)
             cache = self._cache
-        # A draw can only land past the cached mass when the remaining tail
-        # is below float resolution; the index folds it onto the last
-        # cached outcome.
-        return cache.index(u, work), self._head[cache.offset :]
+        return cache
+
+    def _reach(self, target: float, cap: int) -> int:
+        """How far a growth of the cache to pass ``target`` must fill it, in
+        outcomes from 1, rounded up to ``_CDF_BLOCK``: (J + 1) blocks for
+        the largest J whose last outcome k = J * ``_CDF_BLOCK`` leaves more
+        than 1 - target past it, by more than the rounding allowance k *
+        2**-52 of ``_lookup``'s cap check, at most ``cap``. Then the
+        cumulative mass at k stays at or below ``target``, and growth, never
+        futile before k, passes k. Galloping, then bisecting, on blocks; 0
+        where even J = 1 fails, as for every table, whose floor is 0."""
+        block = _CDF_BLOCK
+
+        def short(j: int) -> bool:
+            k = j * block
+            return self._tail_mass_floor(k) - k * 2.0**-52 > 1.0 - target
+
+        if not short(1):
+            return 0
+        lo, hi = 1, 2  # short(lo) holds; short(hi) fails or hi is past the cap
+        while hi * block < cap and short(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if short(mid) else (lo, mid)
+        return min(cap, (lo + 1) * block)
 
     def _extend_cdf(self, target: float) -> None:
         """Grow the cache until its mass passes ``target`` or it is exhausted,
@@ -672,7 +686,10 @@ class PmfModel(abc.ABC):
         cache is exhausted. The cumulative masses and the log-masses the
         head lacks are written past the filled prefixes of their buffers,
         which only the new record and head then view; the head supplies
-        each log-mass it holds and loses none.
+        each log-mass it holds and loses none. A buffer that lacks room is
+        reserved once, as far as ``_reach`` finds this growth must fill it
+        (or to twice its capacity, where that is further), so a deep growth
+        copies neither buffer on the way.
         """
         cache = self._cache
         end = self.max_index()
@@ -688,6 +705,7 @@ class PmfModel(abc.ABC):
         # scratch[0] holds the carry and scratch[1:] a block's masses, so one
         # cumsum continues the chunk's running sum
         scratch = np.empty(_CDF_BLOCK + 1, dtype=np.float64)
+        reach = self._reach(target, cap)
         chunk = have  # where the current chunk, or this growth, starts
         exhausted = capped = False
         while top <= target:
@@ -703,7 +721,7 @@ class PmfModel(abc.ABC):
             size = stop - have
             if stop > known:  # the head lacks outcomes new .. stop
                 new = max(known, have)
-                head = _reserve(head, new, stop, cap)
+                head = _reserve(head, new, max(stop, reach), cap)
                 self.log_pmf_array(_outcomes(new + 1, stop, head[new:stop]), head[new:stop])
             np.exp(head[have:stop], out=scratch[1 : size + 1])
             scratch[0] = carry
@@ -715,7 +733,10 @@ class PmfModel(abc.ABC):
                 # too) join the offset instead
                 zeros = int(np.searchsorted(masses, 0.0, side="right"))
                 offset, masses = offset + zeros, masses[zeros:]
-            sums = _reserve(sums, stored, stored + masses.size, cap - offset)
+            need = stored + masses.size
+            if masses.size:  # the offset is final once a mass is stored
+                need = max(need, reach - offset)
+            sums = _reserve(sums, stored, need, cap - offset)
             np.add(masses, base, out=sums[stored : stored + masses.size])
             stored += masses.size
             have = stop
@@ -731,7 +752,8 @@ class PmfModel(abc.ABC):
         if have > before:
             cdf = sums[:stored]
             cdf.setflags(write=False)
-            cache = self._cache = _InverseCdf(cdf, offset, base, carry)
+            log_pmf = self._head[offset : offset + stored]
+            cache = self._cache = _InverseCdf(cdf, log_pmf, offset, base, carry)
         if exhausted:
             cache.exhausted = True
         if capped:
@@ -1063,15 +1085,13 @@ class Tabulated(PmfModel):
     def is_complete(self) -> bool:
         return self.missing <= NORMALIZATION_TOL
 
-    def _lookup(
-        self, u: np.ndarray, work: _LookupBuffers | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _lookup(self, u: np.ndarray) -> _InverseCdf:
         if not self.is_complete():
             raise ModelError(
                 f"cannot sample tail: {self.missing:.6g} of the mass is unlisted and "
                 "a certificate only bounds it"
             )
-        return super()._lookup(u, work)
+        return super()._lookup(u)
 
     @classmethod
     def from_dict(cls, payload: dict, label: str | None = None) -> "Tabulated":

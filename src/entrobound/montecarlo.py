@@ -20,11 +20,16 @@ writing the four uint64 words of PCG64's ``state`` and ``inc`` straight
 into one generator, once a round trip through the public ``state``
 property, made once per process, has confirmed numpy's layout; where it
 does not, the ``state`` setter loads them instead. It then fills and
-scores each block in cache-sized tiles, with one cache lookup per tile,
-into buffers allocated once per call and reused by every tile. Every
-stream stays identical to the one ``_replicate_rng(seed, i)`` builds, draw
-for draw, and each replicate's mean is taken over its own row, as
-``np.mean`` takes it, so neither blocks nor tiles change any report.
+scores each block in cache-sized tiles, into buffers allocated once per
+call and reused by every tile. Each tile grows the model's inverse-CDF
+cache once, as far as its largest uniform needs, and is scored through the
+cache's guide: one gather of a log-mass per draw from a table of one
+log-mass per bucket of [0, 1), and a binary search only for the few draws
+in buckets that a CDF entry splits. Every stream stays identical to the
+one ``_replicate_rng(seed, i)`` builds, draw for draw, every score is the
+log-mass of the outcome a binary search of the CDF selects, and each
+replicate's mean is taken over its own row, as ``np.mean`` takes it, so
+neither blocks, tiles nor the guide change any report.
 """
 
 from __future__ import annotations
@@ -348,7 +353,7 @@ def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.nda
     """Mean log-likelihood of replicates lo..hi-1.
 
     Generator states are derived a seeding block at a time, and each
-    block is filled, looked up and averaged a scoring tile at a time, in
+    block is filled, scored and averaged a scoring tile at a time, in
     tile-sized buffers allocated once per call, so they stay in cache and
     no tile allocates. Each row of a tile is filled from one
     generator reloaded with that replicate's ``_replicate_rng`` state, so
@@ -375,8 +380,7 @@ def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.nda
             for row, words in zip(block, states):
                 view[:] = words
                 generator.random(out=row)
-            idx, log_pmf = model._lookup(block, work)
-            scores = work.scores(log_pmf, idx)
+            scores = model._lookup(block).scores(block, work)
             # np.mean's own steps, into the output
             means = out[first - lo : first - lo + len(block)]
             np.add.reduce(scores, axis=1, out=means)
@@ -501,9 +505,8 @@ def estimate_mgf(
     """
     if not (isinstance(samples, int) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx, log_pmf = model._lookup(rng.random(samples))
-    values = np.exp(lam * (log_pmf[idx] + entropy.midpoint))
+    u = np.random.default_rng(np.random.SeedSequence(seed)).random(samples)
+    values = np.exp(lam * (model._lookup(u).scores(u) + entropy.midpoint))
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr

@@ -149,6 +149,19 @@ def test_an_order_whose_square_underflows_is_refused_by_name(r):
         chernoff_lambda_star(cert, 100, 50.0)
 
 
+def test_chernoff_tilt_outside_the_float_range_is_refused_by_name():
+    cert = certify_moment(Geometric(0.5), r=0.5)
+    # the tilt underflows to 0.0 at the smallest t, and rounds up to r where
+    # t / r swamps the rest of the denominator
+    for n, t, tilt in [(100, 5e-324, "0.0"), (10**308, 1.0, "0.0"), (1, 1e300, "0.5")]:
+        message = re.escape(f"n={n} and total deviation t={t!r} put the optimising tilt at {tilt},")
+        with pytest.raises(ValueError, match=message):
+            chernoff_lambda_star(cert, n, t)
+    # an n past the float range is named, not an OverflowError from n * C_r
+    with pytest.raises(ValueError, match="sample size n of 401 digits lies past the float range"):
+        chernoff_lambda_star(cert, 10**400, 50.0)
+
+
 def test_constants_validation():
     with pytest.raises(ValueError):
         BernsteinConstants(c1=-1.0, c2=4.0)

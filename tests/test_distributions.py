@@ -822,17 +822,18 @@ def _stored(model) -> int:
 
 def _assert_doubling_build(model):
     """The cache and head bit for bit as whole-chunk builds and one
-    ``log_pmf_array`` call give them, and a guide that meets the crowding rule."""
+    ``log_pmf_array`` call give them, and a guide that meets the split rule."""
     cache = model._cache
     whole = np.concatenate([np.zeros(cache.offset), cache.cdf])
     assert whole.tobytes() == _doubling_build(model, _stored(model)).tobytes()
     head = model._head
     assert head.size >= _stored(model) and not head.flags.writeable
     assert head.tobytes() == model.log_pmf_array(np.arange(1, head.size + 1, dtype=np.int64)).tobytes()
-    _, thresh = cache._build_guide()
-    assert 2**10 <= thresh.size <= 2**16
-    if thresh.size < 2**16:
-        assert np.count_nonzero(np.isnan(thresh)) <= thresh.size * dist._GUIDE_CROWDED_SHARE
+    assert cache.log_pmf.tobytes() == head[cache.offset : _stored(model)].tobytes()
+    guide = cache._build_guide()
+    assert 2**10 <= guide.size <= 2**16
+    if guide.size < 2**16:
+        assert np.count_nonzero(np.isnan(guide)) <= guide.size * dist._GUIDE_SPLIT_SHARE
     return whole
 
 
@@ -875,27 +876,20 @@ def test_block_grown_cache_is_the_doubling_build(monkeypatch, name, block):
 
 
 def _trial_by_trial_guide(cache):
-    """The guide as built before the finest counts were shared: the bucket
-    counts recounted from the CDF entries at every trial size."""
+    """The guide from its definition, with no counts shared between sizes:
+    at each trial size m, a binary search of every bucket edge j / m gives
+    below[j], the entries <= j / m, and bucket j is split when an entry
+    lies in (j / m, (j + 1) / m]."""
     cdf, last = cache.cdf, cache.cdf.size - 1
     m = 1 << 10
     while True:
-        head = cdf[: np.searchsorted(cdf, (m - 1) / m, side="right")]
-        below = np.append(
-            np.cumsum(np.bincount(np.ceil(head * m).astype(np.intp), minlength=m)),
-            np.searchsorted(cdf, 1.0, side="right"),
-        )
-        lo, points = below[:-1], np.diff(below)
-        if m == 1 << 16 or np.count_nonzero(points > 1) <= m * dist._GUIDE_CROWDED_SHARE:
+        counts = np.searchsorted(cdf, np.arange(m + 1) / m, side="right")
+        below = counts[:-1]
+        split = counts[1:] > below
+        if m == 1 << 16 or np.count_nonzero(split) <= m * dist._GUIDE_SPLIT_SHARE:
             break
-        s = 2
-        while m * s < 1 << 16 and np.count_nonzero(points > s) > m * s * dist._GUIDE_CROWDED_SHARE:
-            s *= 2
-        m *= s
-    thresh = np.where(points == 1, cdf[np.minimum(lo, last)], np.inf)
-    thresh[points > 1] = np.nan
-    thresh[lo >= last] = np.inf
-    return np.minimum(lo, last).astype(np.intp, copy=False), thresh
+        m *= 2
+    return np.where(split, np.nan, cache.log_pmf[np.minimum(below, last)])
 
 
 @pytest.mark.parametrize(
@@ -904,11 +898,9 @@ def _trial_by_trial_guide(cache):
     ids=repr,
 )
 def test_guide_from_the_finest_counts_is_the_trial_by_trial_build(model):
-    model._lookup(np.random.default_rng(0).random(400_000))
-    lo, thresh = model._cache._build_guide()
-    want_lo, want_thresh = _trial_by_trial_guide(model._cache)
-    assert lo.dtype == want_lo.dtype and np.array_equal(lo, want_lo)
-    assert thresh.tobytes() == want_thresh.tobytes()
+    cache = model._lookup(np.random.default_rng(0).random(400_000))
+    guide = cache._build_guide()
+    assert guide.dtype == np.float64 and guide.tobytes() == _trial_by_trial_guide(cache).tobytes()
 
 
 def test_a_growth_stops_inside_a_chunk_and_the_next_resumes_it():
@@ -920,6 +912,74 @@ def test_a_growth_stops_inside_a_chunk_and_the_next_resumes_it():
     model._lookup(np.array([1 - 3e-7]))
     assert _stored(model) > 2**18
     _assert_doubling_build(model)
+
+
+def test_a_deep_growth_reserves_each_buffer_once(monkeypatch):
+    reserved = []
+    original = dist._reserve
+
+    def counted(buf, used, need, cap):
+        grown = original(buf, used, need, cap)
+        if grown is not buf:
+            reserved.append(grown.size)
+        return grown
+
+    monkeypatch.setattr(dist, "_reserve", counted)
+    deep = Zeta(2.174)
+    deep._lookup(np.array([1 - 7e-8]))
+    assert _stored(deep) == deep._head.size == 770_048
+    # the head, then the CDF, each once, at the size the growth fills
+    assert reserved == [770_048, 770_048]
+    monkeypatch.undo()
+    # many small growths store the same masses
+    grown = Zeta(2.174)
+    for gap in np.geomspace(0.5, 7e-8, 40):
+        grown._lookup(np.array([1 - gap]))
+    assert grown._cdf.tobytes() == deep._cdf.tobytes()
+    assert grown._head.tobytes() == deep._head.tobytes()
+    _assert_doubling_build(deep)
+
+
+@st.composite
+def _growths(draw):
+    """A fresh model of any family and a uniform it is grown to, 1 - 10**-x
+    for x >= 0 or the largest: 1 - 1e-7 for zeta, whose cache then stays
+    near 10**6 entries, the largest uniform below 1 for the others."""
+    family = draw(st.sampled_from(["geometric", "poisson", "negbinomial", "zeta", "table"]))
+    top = 1 - 1e-7 if family == "zeta" else _TOP
+    gap = 10.0 ** -draw(st.floats(0.0, -math.log10(1.0 - top)))
+    target = draw(st.sampled_from([1.0 - gap, top]))
+    log_uniform = lambda lo, hi: 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+    # mostly models whose floor reserves: a growth past 2**14 outcomes
+    if family == "geometric":
+        model = Geometric(log_uniform(3e-5, 0.5))
+    elif family == "poisson":
+        model = Poisson(log_uniform(0.5, 1e6))
+    elif family == "negbinomial":
+        model = NegativeBinomial(draw(st.floats(0.5, 50.0)), 1.0 - log_uniform(1e-4, 0.5))
+    elif family == "zeta":
+        model = Zeta(draw(st.floats(2.1, 3.0)))
+    else:
+        model = Tabulated(np.full(40_000, 1.0 / 40_000))
+    return model, target
+
+
+@settings(max_examples=60, deadline=None)
+@given(_growths())
+@example((Zeta(2.174), 1 - 7e-8))
+@example((Poisson(1e6), 0.5))  # outcomes 1..961,846 join the offset
+def test_a_growth_reserves_no_more_than_it_fills(growth):
+    model, target = growth
+    reach = model._reach(target, dist._CDF_INDEX_CAP)
+    assert reach % dist._CDF_BLOCK == 0
+    if isinstance(model, Tabulated):
+        assert reach == 0  # a table's floor is 0, so its buffers double
+    model._lookup(np.array([target]))
+    block = dist._CDF_BLOCK
+    filled = -(-_stored(model) // block) * block
+    assert reach <= filled
+    if reach:  # reserved at the first block, past which growth went on
+        assert model._head_buf.size >= reach and model._cdf_buf.size >= reach - model._cache.offset
 
 
 @pytest.mark.parametrize("block", [None, 700])
@@ -941,11 +1001,11 @@ def test_a_growth_to_a_small_cap_is_the_doubling_build(monkeypatch, block):
     "model, large", [(Geometric(1e-3), True), (Poisson(1e6), True), (Zeta(2.1), False)], ids=repr
 )
 def test_wide_light_tails_keep_large_guides(model, large):
-    # entries spread over the buckets need many of them; a power law piles
-    # its entries just below 1 and keeps a small guide
+    # entries spread over the buckets split more than the share of them at
+    # every size, so the guide grows to its cap; a power law piles its
+    # entries just below 1 and stops short of it
     model._lookup(np.array([1 - 1e-6]))
-    _, thresh = model._cache._build_guide()
-    assert (thresh.size >= 2**14) == large
+    assert (model._cache._build_guide().size == 2**16) == large
 
 
 # -- guided inverse-CDF lookup -------------------------------------------------
@@ -995,20 +1055,42 @@ def _sorted_cdfs(draw):
     return cdf
 
 
+def _assert_scored(cache, u, want):
+    """``scores`` bit for bit the stored log-masses at the positions ``want``,
+    for ``u`` of any shape, into fresh buffers and into a workspace larger
+    than the tile, as the engine's last, partial tile uses it."""
+    expected = cache.log_pmf[want].tobytes()
+    scored = cache.scores(u)
+    assert scored.shape == u.shape and scored.tobytes() == expected
+    work = dist._LookupBuffers(u.size + 7)
+    assert cache.scores(u, work).tobytes() == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(_sorted_cdfs(), st.integers(0, 2**32 - 1))
 def test_guided_index_equals_binary_search(cdf, seed):
     # the leading exact zeros are not stored, and the offset counts them,
     # as PmfModel._extend_cdf builds the cache
     zeros = int(np.searchsorted(cdf, 0.0, side="right"))
-    cache = dist._InverseCdf(cdf[zeros:], zeros)
+    log_pmf = np.random.default_rng(seed).standard_normal(cdf.size - zeros)
+    cache = dist._InverseCdf(cdf[zeros:], log_pmf, zeros)
     if not cache.cdf.size:
         return  # an all-zero CDF covers no uniform, so it is never looked up
     u = _probe_uniforms(cdf, 1.0, seed)
-    assert np.array_equal(cache.offset + cache.index(u), _binary_search_index(cdf, u))
-    # any shape, as the replicate engine passes a block of rows
+    assert u[-1] == _TOP and 0.0 in u
+    want = _binary_search_index(cdf, u)
+    assert np.array_equal(cache.offset + cache.index(u), want)
+    _assert_scored(cache, u, want - zeros)
+    # any shape, as the replicate engine passes a block of rows, and a part
+    # of the block in a workspace sized for all of it
     block = u[:1000].reshape(100, 10)
-    assert np.array_equal(cache.offset + cache.index(block), _binary_search_index(cdf, block))
+    want = _binary_search_index(cdf, block)
+    assert np.array_equal(cache.offset + cache.index(block), want)
+    _assert_scored(cache, block, want - zeros)
+    work = dist._LookupBuffers(block.size)
+    for rows in (100, 37, 1, 100):
+        scored = cache.scores(block[:rows], work)
+        assert scored.shape == (rows, 10) and scored.tobytes() == log_pmf[want[:rows] - zeros].tobytes()
 
 
 def _covered(model) -> float:
@@ -1019,17 +1101,21 @@ def _covered(model) -> float:
 
 def _assert_guided(model, u):
     """The lookup against a binary search of the whole CDF, whose unstored
-    head holds exact zeros."""
-    idx, log_pmf = model._lookup(u)
-    cache = model._cache
-    assert cache.cdf[0] > 0.0
+    head holds exact zeros, and its scores against the log-pmf there."""
+    cache = model._lookup(u)
+    assert cache is model._cache and cache.cdf[0] > 0.0
     whole = np.concatenate([np.zeros(cache.offset), cache.cdf])
-    assert np.array_equal(cache.offset + idx, _binary_search_index(whole, u))
-    # the table the lookup scores with is the log-pmf of the stored outcomes
+    want = _binary_search_index(whole, u)
+    assert np.array_equal(cache.offset + cache.index(u), want)
+    # the log-masses the cache scores with are those of the stored outcomes
     stored = np.arange(cache.offset + 1, cache.offset + cache.cdf.size + 1, dtype=np.int64)
-    assert log_pmf.size >= cache.cdf.size and not log_pmf.flags.writeable
-    assert log_pmf[: cache.cdf.size].tobytes() == model.log_pmf_array(stored).tobytes()
-    assert np.array_equal(model._invert(u), _binary_search_index(whole, u) + 1)
+    assert cache.log_pmf.size == cache.cdf.size and not cache.log_pmf.flags.writeable
+    assert cache.log_pmf.tobytes() == model.log_pmf_array(stored).tobytes()
+    _assert_scored(cache, u, want - cache.offset)
+    # log_pmf[min(searchsorted(whole_cdf, u, "right"), size - 1)], outcomes from 1
+    expected = model.log_pmf_array(want.reshape(-1) + 1).reshape(u.shape)
+    assert cache.scores(u).tobytes() == expected.tobytes()
+    assert np.array_equal(model._invert(u), want + 1)
 
 
 _GUIDED_MODELS = {
@@ -1056,7 +1142,7 @@ def test_guided_lookup_equals_binary_search_on_models(name, seed):
     # a draw past the cached mass grows the cache, which gets a new guide
     first, covered = model._cache, _covered(model)
     if covered < 1.0:
-        _assert_guided(model, np.array([min((covered + 1.0) / 2.0, np.nextafter(1.0, 0.0))]))
+        _assert_guided(model, np.array([min((covered + 1.0) / 2.0, _TOP)]))
         assert model._cache is not first or model._cache.exhausted
         _assert_guided(model, _probe_uniforms(model._cdf, _covered(model), seed))
     # a pickled model drops its cache and rebuilds the same one
@@ -1064,28 +1150,37 @@ def test_guided_lookup_equals_binary_search_on_models(name, seed):
     clone = pickle.loads(pickle.dumps(model))
     assert clone._cdf is None
     _assert_guided(clone, u)
-    assert np.array_equal(clone._lookup(u)[0], model._lookup(u)[0])
+    assert clone._lookup(u).scores(u).tobytes() == model._lookup(u).scores(u).tobytes()
+    # the largest uniform grows the cache to its end, or until its tail is
+    # below float resolution, and scores on the last outcome; a zeta cache
+    # would pass the cap first
+    if name != "zeta":
+        _assert_guided(model, np.array([0.0, _TOP]))
+        assert model._cache.exhausted or model._cache.top > _TOP
+        _assert_guided(model, _probe_uniforms(model._cdf, 1.0, seed))
 
 
 @pytest.mark.parametrize("name", sorted(_GUIDED_MODELS))
 def test_lookup_into_a_workspace_matches_fresh_buffers(name):
     model = _GUIDED_MODELS[name]()
     tile = np.random.default_rng(5).random((7, 13))
-    model._lookup(tile)
-    # midpoints of buckets that hold two or more CDF entries, which take
-    # the binary search
-    lo, thresh = model._cache._guide
-    crowded = np.flatnonzero(np.isnan(thresh))[:: max(1, np.count_nonzero(np.isnan(thresh)) // 13)]
-    tile[0, : min(13, crowded.size)] = (crowded[:13] + 0.5) / thresh.size
+    model._lookup(tile).scores(tile)
+    # midpoints of buckets that a CDF entry splits, which take the binary
+    # search
+    guide = model._cache._guide
+    split = np.flatnonzero(np.isnan(guide))[:: max(1, np.count_nonzero(np.isnan(guide)) // 13)]
+    tile[0, : min(13, split.size)] = (split[:13] + 0.5) / guide.size
     model._lookup(tile)  # grows the cache for the new draws, if need be
     work = dist._LookupBuffers(tile.size)
     for rows in (7, 3, 1, 7):  # a full tile, partial ones, and a full one again
         u = tile[:rows]
-        fresh_idx, fresh_log_pmf = model._lookup(u)
-        idx, log_pmf = model._lookup(u, work)
+        cache = model._lookup(u)
+        idx = cache.index(u)
         assert idx.shape == u.shape
-        assert np.array_equal(idx, fresh_idx)
-        assert work.scores(log_pmf, idx).tobytes() == fresh_log_pmf[fresh_idx].tobytes()
+        assert np.array_equal(model._invert(u), idx + cache.offset + 1)
+        scores = cache.scores(u, work)
+        assert scores.shape == u.shape
+        assert scores.tobytes() == cache.scores(u).tobytes() == cache.log_pmf[idx].tobytes()
 
 
 # -- tabulated models --------------------------------------------------------
