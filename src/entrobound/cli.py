@@ -392,15 +392,10 @@ def _add_cert_options(sub: argparse.ArgumentParser, with_target: bool = True) ->
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process: parsing reads it
-    and never changes it, so every ``main`` call can share it."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and a map from each subcommand's name to its parser."""
+    """The full parser and a map from each subcommand's name to its parser,
+    shared by every ``main`` call: parsing never changes them."""
     parser = argparse.ArgumentParser(
         prog="entrobound",
         description="Certified moment bounds and deviation inequalities for "

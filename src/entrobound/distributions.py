@@ -621,7 +621,7 @@ class PmfModel(abc.ABC):
 
         A model that gives a positive one must also keep every doubling
         chunk of its inverse-CDF cache up to ``k`` from being futile while
-        that mass exceeds ``k * 2**-52``, so that ``_lookup`` refuses a draw
+        that mass exceeds ``k * 2**-52``, so that ``_reach`` refuses a draw
         exactly where growing the cache would have reached the cap.
         """
         return 0.0
@@ -633,14 +633,6 @@ class PmfModel(abc.ABC):
         target = float(u.max()) if u.size else 0.0
         cache = self._cache
         if cache is None or (cache.top <= target and not cache.exhausted):
-            # Refuse at once when more mass than 1 - target lies past the
-            # cap, by more than the rounding of a float running sum of that
-            # many masses: even a cache at the cap would end below the draw,
-            # so growing would end in this error, as ``_tail_mass_floor``
-            # keeps every growth on the way from being futile.
-            cap = _CDF_INDEX_CAP
-            if 1.0 - target < self._tail_mass_floor(cap) - cap * 2.0**-52:
-                raise ResourceCapError(_cap_message(cap))
             self._extend_cdf(target)
             cache = self._cache
         return cache
@@ -649,30 +641,34 @@ class PmfModel(abc.ABC):
         """How far a growth of the cache to pass ``target`` must fill it, in
         outcomes from 1, rounded up to ``_CDF_BLOCK``: (J + 1) blocks for
         the largest J whose last outcome k = J * ``_CDF_BLOCK`` leaves more
-        than 1 - target past it, by more than the rounding allowance k *
-        2**-52 of ``_lookup``'s cap check, at most ``cap``. Then the
-        cumulative mass at k stays at or below ``target``, and growth, never
-        futile before k, passes k. Galloping, then bisecting, on blocks; 0
-        where even J = 1 fails, as for every table, whose floor is 0."""
+        than 1 - target past it, by more than k * 2**-52, the rounding of a
+        float running sum of k masses, at most ``cap``. Then the cumulative
+        mass at k stays at or below ``target``, and growth, never futile
+        before k, passes k. Galloping, then bisecting, on blocks; 0 where
+        even J = 1 fails, as for every table, whose floor is 0. Raises
+        ``ResourceCapError`` where k = ``cap`` leaves that much too: growth
+        would end at the cap, in that error, below ``target``."""
         block = _CDF_BLOCK
 
-        def short(j: int) -> bool:
-            k = j * block
+        def short(k: int) -> bool:
             return self._tail_mass_floor(k) - k * 2.0**-52 > 1.0 - target
 
-        if not short(1):
+        if short(cap):
+            raise ResourceCapError(_cap_message(cap))
+        if not short(block):
             return 0
         lo, hi = 1, 2  # short(lo) holds; short(hi) fails or hi is past the cap
-        while hi * block < cap and short(hi):
+        while hi * block < cap and short(hi * block):
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if short(mid) else (lo, mid)
+            lo, hi = (mid, hi) if short(mid * block) else (lo, mid)
         return min(cap, (lo + 1) * block)
 
     def _extend_cdf(self, target: float) -> None:
         """Grow the cache until its mass passes ``target`` or it is exhausted,
-        and raise ``ResourceCapError`` when that would pass the cap.
+        and raise ``ResourceCapError`` when that would pass the cap (before
+        any allocation, where ``_reach`` can tell).
 
         Outcomes join in chunks that end at 1024 * 2**j and at the table end.
         Each stored mass is its chunk's base, the cumulative mass where the
@@ -702,10 +698,10 @@ class PmfModel(abc.ABC):
         have = before = offset + stored
         known = 0 if self._head is None else self._head.size
         head, sums = self._head_buf, self._cdf_buf
+        reach = self._reach(target, cap)
         # scratch[0] holds the carry and scratch[1:] a block's masses, so one
         # cumsum continues the chunk's running sum
         scratch = np.empty(_CDF_BLOCK + 1, dtype=np.float64)
-        reach = self._reach(target, cap)
         chunk = have  # where the current chunk, or this growth, starts
         exhausted = capped = False
         while top <= target:

@@ -17,9 +17,9 @@ the replay starts at the spawn key. The spawn keys, the output words and
 PCG64's 128-bit seeding step run on uint32 and uint64 arrays, the 128-bit
 products on 64-bit (high, low) halves. It loads each replicate's state by
 writing the four uint64 words of PCG64's ``state`` and ``inc`` straight
-into one generator, once a round trip through the public ``state``
-property, made once per process, has confirmed numpy's layout; where it
-does not, the ``state`` setter loads them instead. It then fills and
+into one generator, where numpy's layout passes a check made once per
+process: one replicate loaded so must match ``_replicate_rng``'s public
+``state``. Elsewhere the ``state`` setter loads them. It then fills and
 scores each block in cache-sized tiles, into buffers allocated once per
 call and reused by every tile. Each tile grows the model's inverse-CDF
 cache once, as far as its largest uniform needs, and is scored through the
@@ -35,6 +35,7 @@ neither blocks, tiles nor the guide change any report.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -185,35 +186,24 @@ _MAX_DRAWS = 2**24
 _MAX_REPLICATES = 2**27
 
 
-class _Hasher:
-    """SeedSequence's hashmix on uint32 arrays, one row per hash constant."""
-
-    def __init__(self, hash_const: int, mult: int):
-        self._hash_const, self._mult = hash_const, mult
-
-    def _steps(self, count: int) -> list[tuple[int, int]]:
-        """The hash constant before and after each of the next ``count`` steps."""
-        steps = []
-        for _ in range(count):
-            before = self._hash_const
-            self._hash_const = before * self._mult & _MASK32
-            steps.append((before, self._hash_const))
-        return steps
-
-    def rows(self, values: np.ndarray, count: int) -> np.ndarray:
-        """The next ``count`` steps as one (count, R) uint32 array, step j
-        on row j of ``values``, which is (count, R) or a broadcast (R,)."""
-        steps = np.array(self._steps(count), dtype=np.uint32)
-        mixed = values ^ steps[:, :1]
-        mixed *= steps[:, 1:]
-        mixed ^= mixed >> np.uint32(16)
-        return mixed
+def _hashmix(values: np.ndarray, count: int, init: int, mult: int, step: int) -> np.ndarray:
+    """SeedSequence's hashmix as one (count, R) uint32 array, hash step
+    ``step + j`` on row j of ``values``, which is (count, R) or a broadcast
+    (R,). The hash constant at step i is ``init * mult**i mod 2**32``, so
+    any step can start without replaying those before it."""
+    consts = [init * pow(mult, j, 2**32) & _MASK32 for j in range(step, step + count + 1)]
+    steps = np.array(consts, dtype=np.uint32)[:, None]
+    mixed = values ^ steps[:-1]
+    mixed *= steps[1:]
+    mixed ^= mixed >> np.uint32(16)
+    return mixed
 
 
-def _absorb(pool: np.ndarray, word: np.ndarray, hasher: _Hasher) -> np.ndarray:
-    """Mix one spawn-key word per index into each of the four pool words:
-    ``pool`` is (4, 1) or (4, R) uint32 and ``word`` is (R,) uint32."""
-    hashed = hasher.rows(word, _POOL_SIZE)
+def _absorb(pool: np.ndarray, word: np.ndarray, step: int) -> np.ndarray:
+    """Mix one spawn-key word per index into each of the four pool words,
+    from hash step ``step``: ``pool`` is (4, 1) or (4, R) uint32 and
+    ``word`` is (R,) uint32."""
+    hashed = _hashmix(word, _POOL_SIZE, _INIT_A, _MULT_A, step)
     mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * hashed
     mixed ^= mixed >> np.uint32(16)
     return mixed
@@ -249,20 +239,19 @@ def _spawn_states(seed: int, indices: np.ndarray) -> np.ndarray:
     # word past the pool. The spawn key's steps carry on from there.
     words = max(1, -(-seed.bit_length() // 32))
     steps = 16 + _POOL_SIZE * max(0, words - _POOL_SIZE)
-    hasher = _Hasher(_INIT_A * pow(_MULT_A, steps, 2**32) & _MASK32, _MULT_A)
 
     indices = np.asarray(indices, dtype=np.uint64)
-    mixed = _absorb(pool[:, None], indices.astype(np.uint32), hasher)
+    mixed = _absorb(pool[:, None], indices.astype(np.uint32), steps)
     high = np.flatnonzero(indices >> _SHIFT32)
     if high.size:
         # Indices of 2**32 and beyond carry a second spawn-key word.
         second = (indices[high] >> _SHIFT32).astype(np.uint32)
-        mixed[:, high] = _absorb(mixed[:, high], second, hasher)
+        mixed[:, high] = _absorb(mixed[:, high], second, steps + _POOL_SIZE)
 
     # generate_state(4, uint64) cycles through the pool twice; each uint64
     # is two little-endian uint32 words, giving the seed and the increment
     # as (high, low) pairs.
-    w = _Hasher(_INIT_B, _MULT_B).rows(mixed[[0, 1, 2, 3, 0, 1, 2, 3]], 8).astype(np.uint64)
+    w = _hashmix(mixed[[0, 1, 2, 3, 0, 1, 2, 3]], 8, _INIT_B, _MULT_B, 0).astype(np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = w[0::2] | w[1::2] << _SHIFT32
     # PCG64 seeding: inc = seq << 1 | 1, state = (inc + seed) * MULT + inc,
     # mod 2**128 on (high, low) halves; uint64 arithmetic wraps mod 2**64.
@@ -282,35 +271,16 @@ def _spawn_states(seed: int, indices: np.ndarray) -> np.ndarray:
     return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
 
 
-# Four distinct words for the layout check: a swapped pair, or a 128-bit
-# value held as (high, low), reads back as different words.
-_PROBE_WORDS = [0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589ABCDEF, 0x3210765498BADCFE]
-
-
-def _state_ints(words: list[int]) -> dict:
-    """The ``state`` entry of a PCG64 state dict for one row of words."""
-    state_lo, state_hi, inc_lo, inc_hi = words
-    return {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
-
-
-# The verdict of the layout check in _state_words, None until the first
-# generator of the process is checked: the layout is that of numpy's build,
-# the same for every generator.
-_layout_ok: bool | None = None
-
-
-def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
-    """A writable uint64 view ``[state_lo, state_hi, inc_lo, inc_hi]`` of the
-    generator's 128-bit ``state`` and ``inc``, or None where numpy's private
-    layout is not that. The view is valid while ``bit_generator`` lives.
+def _struct_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
+    """A writable uint64 view of the first four words of the generator's
+    ``pcg64_random_t``, valid while ``bit_generator`` lives, or None where
+    ctypes cannot reach it.
 
     ``ctypes.state_address`` points at numpy's ``pcg64_state``, whose first
     field points at the ``pcg64_random_t``: two ``pcg128_t``, native
     ``__uint128_t`` where the compiler has one and a ``{high, low}`` struct
-    elsewhere. ``_round_trips`` decides between the two once per process,
-    before any row relies on a view.
+    elsewhere.
     """
-    global _layout_ok
     try:
         import ctypes
     except ImportError:  # a Python built without _ctypes
@@ -318,34 +288,42 @@ def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
     address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
     if not address:
         return None
-    view = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
-    if _layout_ok is None:
-        _layout_ok = _round_trips(bit_generator, view)
-    return view if _layout_ok else None
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
 
 
-def _round_trips(bit_generator: np.random.PCG64, view: np.ndarray) -> bool:
-    """Whether a write through the public ``state`` setter reads back
-    through ``view``, and a write through ``view`` through the getter."""
-    loaded = bit_generator.state
-    loaded["state"] = _state_ints(_PROBE_WORDS)
-    bit_generator.state = loaded
-    if view.tolist() != _PROBE_WORDS:
+@functools.cache
+def _layout_holds() -> bool:
+    """Whether a ``_spawn_states`` row written through ``_struct_words``
+    loads the state ``_replicate_rng`` builds. numpy's build fixes the
+    layout for every generator, so one replicate checks it once per
+    process: its seed has several words and its spawn key two."""
+    seed, index = 2**128 + 3, 2**32 + 7
+    bit_generator = np.random.PCG64(0)
+    view = _struct_words(bit_generator)
+    if view is None:
         return False
-    view[:] = _PROBE_WORDS[::-1]
-    return bit_generator.state["state"] == _state_ints(_PROBE_WORDS[::-1])
+    view[:] = _spawn_states(seed, np.array([index]))[0]
+    return bit_generator.state == _replicate_rng(seed, index).bit_generator.state
+
+
+def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
+    """A writable uint64 view ``[state_lo, state_hi, inc_lo, inc_hi]`` of the
+    generator's 128-bit ``state`` and ``inc``, valid while ``bit_generator``
+    lives, or None where numpy's private layout is not that."""
+    return _struct_words(bit_generator) if _layout_holds() else None
 
 
 class _StateSetter:
     """Loads ``view[:] = words`` through the public ``state`` setter, for
-    builds whose PCG64 layout fails the check in ``_state_words``."""
+    builds whose PCG64 layout fails the check in ``_layout_holds``."""
 
     def __init__(self, bit_generator: np.random.PCG64):
         self._bit_generator = bit_generator
         self._loaded = bit_generator.state
 
     def __setitem__(self, key: slice, words: np.ndarray) -> None:
-        self._loaded["state"] = _state_ints(words.tolist())
+        state_lo, state_hi, inc_lo, inc_hi = words.tolist()
+        self._loaded["state"] = {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
         self._bit_generator.state = self._loaded
 
 

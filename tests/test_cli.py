@@ -945,7 +945,7 @@ def test_help_exits_cleanly(capsys):
 def _reference_main(argv):
     """``main`` as it parsed before: the full parser, then the handler."""
     try:
-        args = cli.build_parser().parse_args(argv)
+        args = cli._parsers()[0].parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
@@ -1003,7 +1003,7 @@ def test_a_subcommand_is_parsed_without_the_full_parser(tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("the full parser ran")
 
-    monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+    monkeypatch.setattr(cli._parsers()[0], "parse_known_args", refuse)
     for argv in _VALID_CALLS:
         assert main(_with_sweep_config(argv, tmp_path)) == EXIT_OK
     assert main(["certify", "geometric:0.5", "--bogus"]) == EXIT_USAGE
@@ -1013,7 +1013,7 @@ def test_a_subcommand_is_parsed_without_the_full_parser(tmp_path, capsys, monkey
 
 
 def test_reused_parser_carries_nothing_between_calls(capsys):
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
     first = ["certify", "geometric:0.5", "--r", "0.3", "--slack", "0.01", "--format", "json"]
     assert main(first) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["r"] == 0.3

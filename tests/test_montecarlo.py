@@ -174,40 +174,73 @@ def test_engine_matches_reference_loop(monkeypatch, model, load):
                 assert np.array_equal(engine, expected), (tile, n, seed)
 
 
+@pytest.fixture
+def fresh_layout_check():
+    """The process's layout verdict, forgotten before and after the test."""
+    montecarlo._layout_holds.cache_clear()
+    yield
+    montecarlo._layout_holds.cache_clear()
+
+
 @pytest.mark.skipif(
     not (sys.platform.startswith("linux") and sys.maxsize > 2**32),
     reason="numpy's PCG64 holds its 128-bit words as __uint128_t on 64-bit Linux builds",
 )
-def test_state_layout_check_passes_where_pcg128_is_native():
+def test_state_layout_check_passes_where_pcg128_is_native(fresh_layout_check):
     # a check that quietly failed here would only slow the engine down
+    assert montecarlo._layout_holds()
     bit_generator = np.random.PCG64(0)
-    view = montecarlo._state_words(bit_generator)
-    assert view is not None
-    expected = montecarlo._replicate_rng(3, 11).bit_generator.state
-    view[:] = montecarlo._spawn_states(3, np.array([11]))[0]
-    assert bit_generator.state == expected
+    montecarlo._state_words(bit_generator)[:] = montecarlo._spawn_states(3, np.array([11]))[0]
+    assert bit_generator.state == montecarlo._replicate_rng(3, 11).bit_generator.state
 
 
-def test_layout_verdict_is_reached_once_per_process(monkeypatch):
+def test_layout_verdict_is_reached_once_per_process(monkeypatch, fresh_layout_check):
     checks = []
 
-    def recording(bit_generator, view):
-        checks.append(bit_generator)
-        return round_trips(bit_generator, view)
+    def recording(seed, index):
+        checks.append((seed, index))
+        return replicate_rng(seed, index)
 
-    round_trips = montecarlo._round_trips
-    monkeypatch.setattr(montecarlo, "_round_trips", recording)
-    monkeypatch.setattr(montecarlo, "_layout_ok", None)
+    # the check builds one replicate's generator, and nothing else in the
+    # engine does
+    replicate_rng = montecarlo._replicate_rng
+    monkeypatch.setattr(montecarlo, "_replicate_rng", recording)
     generators = [np.random.PCG64(0) for _ in range(3)]
     views = [montecarlo._state_words(g) for g in generators]
     assert len(checks) == 1
+    seed, index = checks[0]
+    assert seed.bit_length() > 32 and index >= 2**32
     # each generator still gets a view of its own words
     if views[-1] is not None:
         views[-1][:] = montecarlo._spawn_states(3, np.array([11]))[0]
-        assert generators[-1].state == montecarlo._replicate_rng(3, 11).bit_generator.state
+        assert generators[-1].state == replicate_rng(3, 11).bit_generator.state
     # the verdict holds for the next engine call too
     montecarlo._means_range(Geometric(0.5), 13, 0, 0, 40)
     assert len(checks) == 1
+
+
+class _SwappedHalves:
+    """The words of a build whose ``pcg128_t`` is a ``{high, low}`` struct:
+    each 128-bit value's two 64-bit halves are stored the other way round."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def __setitem__(self, key: slice, row: np.ndarray) -> None:
+        self._words[[1, 0, 3, 2]] = row
+
+
+def test_a_layout_that_fails_the_check_loads_states_through_the_setter(monkeypatch, fresh_layout_check):
+    struct_words = montecarlo._struct_words
+    monkeypatch.setattr(
+        montecarlo, "_struct_words", lambda bit_generator: _SwappedHalves(struct_words(bit_generator))
+    )
+    assert not montecarlo._layout_holds()
+    assert montecarlo._state_words(np.random.PCG64(0)) is None
+    model = Zeta(2.2)
+    for n in (13, 150):
+        engine = montecarlo._means_range(model, n, 7, 3, 43)
+        assert np.array_equal(engine, _reference_means(model, n, 7, 3, 43)), n
 
 
 def test_engine_checks_the_layout_once_and_leaves_no_buffered_word(monkeypatch):
