@@ -1,7 +1,9 @@
 """Bernstein-style deviation bounds for the empirical average log-likelihood.
 
-Everything here is plain arithmetic on certified constants. Given a
-moment certificate (r, C_r), the two Bernstein constants are
+Most of this is plain arithmetic on certified constants; ``mgf_exact``
+sums series on the truncation ladder, and ``select_r`` certifies a grid
+of orders. Given a moment certificate (r, C_r), the two Bernstein
+constants are
 
     c1 = 2 * C_r / (sqrt(pi) * r**2)        (variance proxy)
     c2 = 2 / r                              (scale proxy)
@@ -279,7 +281,8 @@ def select_r(
     the truncation budget are skipped. Each grid point's certificate is
     the one ``certify_moment`` gives, bit for bit; the model's tail is
     resolved once, and each order is certified alone, except that under a
-    ratio tail the orders below one cut inside the head share its cut as
+    ratio tail, once an order's cut lies inside the head, a smaller order
+    keeps its guessed cut where the scalar test confirms it, as
     ``certify._certify_orders`` describes.
     """
     tail = _own_tail(model)

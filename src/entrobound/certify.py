@@ -179,22 +179,17 @@ def _entropy_term(lp: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 
 def _log_pmf_sum(model: PmfModel, term, start: int, stop: int) -> float:
     """Sum ``term(log p_k, out)`` over k in [start, stop] by
-    ``indexed_chunk_sum``. A range of one chunk that the head already holds
-    reads it directly, with no more set-up than a slice. Otherwise each
-    chunk's log-pmf is read through ``model.log_pmf_range`` and its terms
-    are written into one pair of buffers that every chunk of the call
-    reuses: a chunk inside the head's cap is a view of the head, and one
-    past it is computed into the first buffer; the terms go into the second.
-    ``term`` writes into ``out`` when given, with the operations it would
-    apply to a fresh array."""
-    head = model._head
-    if head is not None and stop <= head.size and stop - start < CHUNK:
-        return indexed_chunk_sum(lambda lo, hi: term(head[lo - 1 : hi], None), start, stop)
-    pair: list[np.ndarray] = []
+    ``indexed_chunk_sum``, reading each chunk's log-pmf through
+    ``model.log_pmf_range``, a view of the head inside the head's cap. A
+    range of one chunk takes fresh arrays. A longer one reuses one pair of
+    buffers for every chunk: a chunk past the head's cap is computed into
+    the first, its terms into the second. ``term`` writes into ``out`` when
+    given, with the operations it would apply to a fresh array."""
+    if stop - start < CHUNK:
+        return indexed_chunk_sum(lambda lo, hi: term(model.log_pmf_range(lo, hi), None), start, stop)
+    pair = [np.empty(CHUNK, dtype=np.float64) for _ in range(2)]
 
     def chunk(lo: int, hi: int) -> np.ndarray:
-        if not pair:
-            pair.extend(np.empty(min(CHUNK, stop - lo + 1), dtype=np.float64) for _ in range(2))
         size = hi - lo + 1
         return term(model.log_pmf_range(lo, hi, pair[0][:size]), pair[1][:size])
 
@@ -313,12 +308,12 @@ def _certify(
 ) -> MomentCertificate:
     """The certificate at order ``r`` under ``tail``, the certificate the
     model's own tail is resolved to (None for a complete table built without
-    one): every certification but a grid's shared cuts (``_certify_orders``)
-    goes through here. An order outside the admissible interval raises
-    ``AdmissibilityError``, then an unusable slack ``ValueError``. A
-    power-law tail on infinite support takes the closed form; every other
-    case walks the truncation ladder, with provenance ``"powerlaw"``,
-    ``"ratio"``, or ``"exact"`` without a tail.
+    one): every certification but a grid's confirmed guesses
+    (``_certify_orders``) goes through here. An order outside the
+    admissible interval raises ``AdmissibilityError``, then an unusable
+    slack ``ValueError``. A power-law tail on infinite support takes the
+    closed form; every other case walks the truncation ladder, with
+    provenance ``"powerlaw"``, ``"ratio"``, or ``"exact"`` without a tail.
     """
     r_max = admissible_r_interval(tail)[1]
     if not (0.0 < r < r_max):
@@ -351,19 +346,21 @@ def _certify_orders(
     Once one succeeds under a ratio tail with its cut m inside the head's
     cap, a smaller order's bound is no larger at any k, so its cut lies in
     [k0, m]: ``tail.cut_guesses`` guesses every smaller order's cut in one
-    search of the head, and ``_settle`` settles each with the scalar test
-    ``remainder(k) <= eps`` to the smallest index that meets eps, the one a
-    bisection finds. An order that no index up to m settles is certified
-    alone.
+    search of the head. A guess g is kept only where the scalar test
+    ``remainder(k) <= eps`` confirms it: it passes at g and, unless g is
+    k0, fails at g - 1, as at the cut ``_certify`` finds. Every other
+    order is certified alone, so a wrong guess costs time, not a result.
     """
     order = sorted(set(rs), reverse=True)
     results: dict[float, MomentCertificate | Exception] = {}
     guesses: dict[float, int] = {}
     for i, r in enumerate(order):
         try:
-            cut = None
-            if r in guesses:
-                cut = _settle(tail.remainder(model, 1.0 - r), eps, guesses[r], tail.k0, hi)
+            cut = guesses.get(r)
+            if cut is not None:
+                bound = tail.remainder(model, 1.0 - r)
+                if not (bound(cut) <= eps and (cut == tail.k0 or not bound(cut - 1) <= eps)):
+                    cut = None
             if cut is None:
                 cert = results[r] = _certify(model, tail, r, eps)
             else:
@@ -376,9 +373,9 @@ def _certify_orders(
             and isinstance(tail, GeometricRatioTail)
             and tail.k0 <= cert.truncation_index < model._head_cap()
         ):
-            hi, smaller = cert.truncation_index, order[i + 1 :]
-            powers = [1.0 - r for r in smaller]
-            guesses = dict(zip(smaller, tail.cut_guesses(model, powers, eps, tail.k0, hi)))
+            smaller = order[i + 1 :]
+            cuts = tail.cut_guesses(model, [1.0 - r for r in smaller], eps, tail.k0, cert.truncation_index)
+            guesses = dict(zip(smaller, cuts))
     return [results[r] for r in rs]
 
 
@@ -435,22 +432,6 @@ def _certificate(model: PmfModel, r: float, eps: float, cut: int, provenance: st
     return MomentCertificate(
         r=r, C_r=partial + eps, slack=eps, truncation_index=cut, provenance=provenance
     )
-
-
-def _settle(remainder, eps: float, guess: int, lo: int, hi: int) -> int | None:
-    """The smallest k in [lo, hi] with ``remainder(k) <= eps``, walked to
-    from ``guess`` with that scalar test, given that the test does not pass
-    and then fail as k grows. None when no k in [lo, hi] passes."""
-    k = min(max(guess, lo), hi)
-    if not remainder(k) <= eps:
-        while k < hi:
-            k += 1
-            if remainder(k) <= eps:
-                return k
-        return None
-    while k > lo and remainder(k - 1) <= eps:
-        k -= 1
-    return k
 
 
 def entropy_interval(model: PmfModel, certificate: MomentCertificate, tol: float) -> EntropyInterval:

@@ -15,6 +15,7 @@ binomial) are shifted so that outcome k carries the mass of count k - 1.
 from __future__ import annotations
 
 import abc
+import bisect
 import json
 import math
 from dataclasses import dataclass, fields
@@ -214,10 +215,11 @@ class GeometricRatioTail(_TailCertificate):
     def cut_guesses(self, model: "PmfModel", powers, eps: float, lo: int, hi: int) -> list[int]:
         """For each power s, the first k in [lo, hi] whose log p_{k+1} is at
         most log(eps * (1 - q**s)) / s, the log-mass at which the bound meets
-        ``eps`` but for rounding, else hi; hi lies below the head's cap. The
-        log-masses do not increase past k0, so all powers share one
-        ``np.searchsorted`` over a view of the head. Past a table's end the
-        bound chains q from the last mass, so a guess past the end is hi."""
+        ``eps`` but for rounding, so a guess can miss by one; else hi, which
+        lies below the head's cap. The log-masses do not increase past k0, so
+        all powers share one ``np.searchsorted`` over a view of the head.
+        Past a table's end the bound chains q from the last mass, so a guess
+        past the end is hi."""
         n = model.max_index()
         last = hi if n is None else min(hi, n - 1)  # p_{k+1} is listed for k <= last
         if lo > last:
@@ -644,8 +646,9 @@ class PmfModel(abc.ABC):
         than 1 - target past it, by more than k * 2**-52, the rounding of a
         float running sum of k masses, at most ``cap``. Then the cumulative
         mass at k stays at or below ``target``, and growth, never futile
-        before k, passes k. Galloping, then bisecting, on blocks; 0 where
-        even J = 1 fails, as for every table, whose floor is 0. Raises
+        before k, passes k. The floor does not grow with k, so
+        ``bisect.bisect_left`` finds J on blocks up to the cap; 0 where even
+        J = 1 fails, as for every table, whose floor is 0. Raises
         ``ResourceCapError`` where k = ``cap`` leaves that much too: growth
         would end at the cap, in that error, below ``target``."""
         block = _CDF_BLOCK
@@ -657,13 +660,8 @@ class PmfModel(abc.ABC):
             raise ResourceCapError(_cap_message(cap))
         if not short(block):
             return 0
-        lo, hi = 1, 2  # short(lo) holds; short(hi) fails or hi is past the cap
-        while hi * block < cap and short(hi * block):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if short(mid * block) else (lo, mid)
-        return min(cap, (lo + 1) * block)
+        last = bisect.bisect_left(range(1, cap // block + 1), True, key=lambda j: not short(j * block))
+        return min(cap, (last + 1) * block)
 
     def _extend_cdf(self, target: float) -> None:
         """Grow the cache until its mass passes ``target`` or it is exhausted,
@@ -918,9 +916,9 @@ class NegativeBinomial(PmfModel):
         q = (1.0 + self.prob) / 2.0
         # The ratio is monotone in k with limit prob < q, so the first index
         # satisfying the cap starts a run that never ends. Closed form first,
-        # then find the exact boundary: gallop from the start to an index on
-        # each side of it, then bisect. Near prob = 1 the float ratio is flat
-        # over billions of indices, so a unit step would not end.
+        # then gallop from the start to an index on each side of the exact
+        # boundary, and bisect that bracket. Near prob = 1 the float ratio is
+        # flat over billions of indices, so a unit step would not end.
         if self.size <= 1.0:
             return GeometricRatioTail(k0=1, q=q)
         start = 2.0 * self.prob * (self.size - 1.0) / (1.0 - self.prob)
@@ -936,17 +934,15 @@ class NegativeBinomial(PmfModel):
             return self._mass_ratio(k) <= q
 
         # lo is below the run, or 0 once every index down to 1 is in it;
-        # hi is in the run once the gallops stop
+        # hi is in the run once the gallops stop, so k0 lies in (lo, hi]
         hi = max(1, math.ceil(start))
         lo, step = hi - 1, 1
         while lo > 0 and capped(lo):
             lo, hi, step = max(0, lo - step), lo, 2 * step
         while not capped(hi):
             lo, hi, step = hi, hi + step, 2 * step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if capped(mid) else (mid, hi)
-        return GeometricRatioTail(k0=hi, q=q)
+        k0 = lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=capped)
+        return GeometricRatioTail(k0=k0, q=q)
 
 
 class Zeta(PmfModel):

@@ -548,6 +548,37 @@ def _count_cut_guesses(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.parametrize("model", [Geometric(0.05), Poisson(7.0), NegativeBinomial(3.0, 0.6)], ids=repr)
+@pytest.mark.parametrize("wrong", ["below", "above", "k0", "hi"])
+def test_a_grid_certifies_each_unconfirmed_guess_alone(monkeypatch, model, wrong):
+    # Guessed cuts are kept only where the scalar test confirms them; any
+    # other guess, however near, costs that order one certification alone.
+    grid = [i / 22.0 for i in range(1, 22)]
+    truth = {1.0 - r: certify_moment(model, r=r, eps=1e-6).truncation_index for r in grid}
+    guessed = []
+
+    def guesses(self, model, powers, eps, lo, hi):
+        shifted = {"below": lambda k: k - 1, "above": lambda k: k + 1, "k0": lambda k: lo, "hi": lambda k: hi}
+        found = [min(max(shifted[wrong](truth[s]), lo), hi) for s in powers]
+        guessed.extend(k != truth[s] for s, k in zip(powers, found))
+        return found
+
+    certified = []
+
+    def certify_alone(*args):
+        certified.append(args[2])
+        return _certify(*args)
+
+    _certify = certify_module._certify
+    monkeypatch.setattr(GeometricRatioTail, "cut_guesses", guesses)
+    monkeypatch.setattr(certify_module, "_certify", certify_alone)
+    results = certify_module._certify_orders(model, model.tail_certificate(), grid, 1e-6)
+    assert len(guessed) == 20 and any(guessed)
+    assert len(certified) == 1 + sum(guessed)
+    for r, result in zip(grid, results):
+        assert result == certify_moment(model, r=r, eps=1e-6)
+
+
 def test_grid_past_the_head_cap_certifies_each_order_alone(monkeypatch):
     # With the head capped at 64 outcomes, every order's cut lies past it, so
     # no order shares another's walk: each walks the ladder and bisects alone.

@@ -218,6 +218,23 @@ def test_negative_binomial_certificate_is_sound(size, prob):
     tail.spot_check(model, probes=50, span=10_000)
 
 
+@pytest.mark.parametrize("size", [0.3, 1.0, 1.0 + 2.0**-40, 1.5, 2.0, 3.0, 7.5, 20.0, 300.0, 4e4])
+def test_negative_binomial_k0_is_the_first_capped_index(size):
+    # k0 is, by definition, the first k >= 1 whose float ratio is capped by
+    # q; the same float operations, vectorised, scan every k below 10**5
+    ks = np.arange(1, 10**5 + 1, dtype=np.float64)
+    for prob in (0.01, 0.2, 0.5, 0.6, 0.9, 0.99, 0.999, 0.9999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12):
+        model = NegativeBinomial(size, prob)
+        capped = np.flatnonzero((ks - 1.0 + size) / ks * prob <= (1.0 + prob) / 2.0)
+        if capped.size:
+            assert model.tail_certificate().k0 == capped[0] + 1, prob
+        else:
+            try:
+                assert model.tail_certificate().k0 > 10**5, prob
+            except ResourceCapError:
+                pass
+
+
 @given(prob=st.floats(0.02, 0.98))
 @settings(max_examples=40, deadline=None)
 def test_geometric_certificate_is_exact(prob):
@@ -980,6 +997,30 @@ def test_a_growth_reserves_no_more_than_it_fills(growth):
     assert reach <= filled
     if reach:  # reserved at the first block, past which growth went on
         assert model._head_buf.size >= reach and model._cdf_buf.size >= reach - model._cache.offset
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Geometric(3e-6), Poisson(4e5), NegativeBinomial(3.0, 1 - 1e-5), Zeta(1.5), Tabulated([0.5, 0.5])],
+    ids=repr,
+)
+def test_reach_is_the_largest_short_block(model):
+    # _reach's definition, scanned block by block: (J + 1) blocks for the
+    # largest J whose last outcome is short of the target, at most the cap;
+    # 0 with no such J, and a refusal where the cap itself is short
+    block = dist._CDF_BLOCK
+    cap = 40 * block + 3
+
+    def short(k, target):
+        return model._tail_mass_floor(k) - k * 2.0**-52 > 1.0 - target
+
+    for target in [i / 40 for i in range(40)] + [1.0 - 10.0**-x for x in np.linspace(1.0, 13.0, 49)] + [_TOP]:
+        if short(cap, target):
+            with pytest.raises(ResourceCapError):
+                model._reach(target, cap)
+            continue
+        last = max((j for j in range(1, cap // block + 1) if short(j * block, target)), default=0)
+        assert model._reach(target, cap) == (min(cap, (last + 1) * block) if last else 0), target
 
 
 @pytest.mark.parametrize("block", [None, 700])
