@@ -302,7 +302,11 @@ def tail_from_dict(payload: dict) -> PowerLawTail | GeometricRatioTail:
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:
     """Each value of a sorted array of integers >= 0, once."""
-    return ascending[np.diff(ascending, prepend=-1) > 0]
+    # the first value, then each one that differs from its left neighbour
+    keep = np.empty(ascending.size, dtype=np.bool_)
+    keep[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
+    return ascending[keep]
 
 
 class _InverseCdf:

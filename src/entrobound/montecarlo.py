@@ -19,17 +19,20 @@ products on 64-bit (high, low) halves. It loads each replicate's state by
 writing the four uint64 words of PCG64's ``state`` and ``inc`` straight
 into one generator, where numpy's layout passes a check made once per
 process: one replicate loaded so must match ``_replicate_rng``'s public
-``state``. Elsewhere the ``state`` setter loads them. It then fills and
-scores each block in cache-sized tiles, into buffers allocated once per
-call and reused by every tile. Each tile grows the model's inverse-CDF
-cache once, as far as its largest uniform needs, and is scored through the
-cache's guide: one gather of a log-mass per draw from a table of one
-log-mass per bucket of [0, 1), and a binary search only for the few draws
-in buckets that a CDF entry splits. Every stream stays identical to the
-one ``_replicate_rng(seed, i)`` builds, draw for draw, every score is the
-log-mass of the outcome a binary search of the CDF selects, and each
+``state``. Elsewhere the ``state`` setter loads them. It then fills a
+whole block's uniforms, one row per replicate, grows the model's
+inverse-CDF cache once, as far as the block's largest uniform needs, and
+scores and averages the block in cache-sized tiles through that cache's
+guide: one gather of a log-mass per draw from a table of one log-mass per
+bucket of [0, 1), and a binary search only for the few draws in buckets
+that a CDF entry splits. The block's uniforms and one tile's lookup
+buffers are kept per thread from call to call, so a call whose block and
+tile fit them allocates neither. Every stream stays identical to the one
+``_replicate_rng(seed, i)`` builds, draw for draw, every score is the
+log-mass of the outcome a binary search of the CDF selects, the cache's
+stored masses do not depend on the lookups that grew it, and each
 replicate's mean is taken over its own row, as ``np.mean`` takes it, so
-neither blocks, tiles nor the guide change any report.
+neither blocks, tiles, the guide nor the kept buffers change any report.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import io
 import json
 import math
 import operator
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -57,7 +61,6 @@ __all__ = [
     "SimulationReport",
     "replicate_log_likelihood_means",
     "estimate_deviation_probability",
-    "estimate_mgf",
     "sweep",
     "verify_bound",
     "reports_to_csv",
@@ -172,10 +175,11 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # The replicate engine derives generator states for a seeding block of
 # about _BLOCK_DRAWS draws at once, which spreads the fixed cost of each
-# vectorised seeding step, and fills and scores each block a tile of about
-# _TILE_DRAWS draws at a time, so the uniforms and the lookup's buffers
-# (256 KiB each) stay in a core's L2 cache. Blocks and tiles hold whole
-# replicates: a replicate longer than either is one of its own.
+# vectorised seeding step and of each growth of the inverse-CDF cache, and
+# scores each filled block a tile of about _TILE_DRAWS draws at a time, so
+# the tile's uniforms and the lookup's buffers (256 KiB each) stay in a
+# core's L2 cache. Blocks and tiles hold whole replicates: a replicate
+# longer than either is one of its own.
 _BLOCK_DRAWS = 2**20
 _TILE_DRAWS = 2**15
 
@@ -327,40 +331,54 @@ class _StateSetter:
         self._bit_generator.state = self._loaded
 
 
+class _Workspace(threading.local):
+    """One thread's buffers of the replicate engine, kept from call to call:
+    room for the uniforms of a seeding block and the lookup buffers of one
+    scoring tile. A call that needs more gets its own, which are not kept."""
+
+    def __init__(self) -> None:
+        self.uniforms = np.empty(_BLOCK_DRAWS, dtype=np.float64)
+        self.work = _LookupBuffers(_TILE_DRAWS)
+
+
+_WORKSPACE = _Workspace()
+
+
 def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Mean log-likelihood of replicates lo..hi-1.
 
-    Generator states are derived a seeding block at a time, and each
-    block is filled, scored and averaged a scoring tile at a time, in
-    tile-sized buffers allocated once per call, so they stay in cache and
-    no tile allocates. Each row of a tile is filled from one
-    generator reloaded with that replicate's ``_replicate_rng`` state, so
-    the uniforms, and hence the means, are exactly those of drawing each
-    replicate on its own.
+    Generator states are derived a seeding block at a time. Each block is
+    filled whole, one row per replicate from one generator reloaded with
+    that replicate's ``_replicate_rng`` state, so the uniforms, and hence
+    the means, are exactly those of drawing each replicate on its own. One
+    lookup then grows the model's cache to the block's largest uniform, and
+    the block is scored and averaged a tile at a time through that cache.
+    The uniforms and the lookup buffers are this thread's kept ones, unless
+    a replicate is longer than a block or a tile.
     """
     out = np.empty(hi - lo, dtype=np.float64)
     rows = max(1, _BLOCK_DRAWS // n)
-    tile = max(1, _TILE_DRAWS // n)
+    tile = min(rows, max(1, _TILE_DRAWS // n))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     view = _state_words(bit_generator)
     if view is None:
         view = _StateSetter(bit_generator)
-    uniforms = np.empty((min(tile, hi - lo), n), dtype=np.float64)
-    work = _LookupBuffers(uniforms.size)
+    draws, tile_draws = min(rows, hi - lo) * n, min(tile, hi - lo) * n
+    space = _WORKSPACE
+    uniforms = space.uniforms if draws <= space.uniforms.size else np.empty(draws)
+    work = space.work if tile_draws <= space.work.values.size else _LookupBuffers(tile_draws)
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
-        states = iter(_spawn_states(seed, np.arange(start, stop)))
-        for first in range(start, stop, tile):
-            block = uniforms[: min(tile, stop - first)]
-            # zip takes a row before a state, so the block's states carry on
-            # from one tile to the next
-            for row, words in zip(block, states):
-                view[:] = words
-                generator.random(out=row)
-            scores = model._lookup(block).scores(block, work)
+        block = uniforms[: (stop - start) * n].reshape(stop - start, n)
+        for row, words in zip(block, _spawn_states(seed, np.arange(start, stop))):
+            view[:] = words
+            generator.random(out=row)
+        cache = model._lookup(block)
+        for first in range(0, stop - start, tile):
+            scores = cache.scores(block[first : first + tile], work)
             # np.mean's own steps, into the output
-            means = out[first - lo : first - lo + len(block)]
+            means = out[start - lo + first : start - lo + first + len(scores)]
             np.add.reduce(scores, axis=1, out=means)
             np.divide(means, n, out=means)
     return out
@@ -467,27 +485,6 @@ def estimate_deviation_probability(
         records=records,
         elapsed=time.perf_counter() - start,
     )
-
-
-def estimate_mgf(
-    model: PmfModel,
-    entropy: EntropyInterval,
-    lam: float,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the centred log-likelihood MGF at lam.
-
-    Returns the sample mean of exp(lam * (log P(X) + H_mid)) and its
-    standard error, from a single seeded stream.
-    """
-    if not (isinstance(samples, int) and samples >= 1):
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    u = np.random.default_rng(np.random.SeedSequence(seed)).random(samples)
-    values = np.exp(lam * (model._lookup(u).scores(u) + entropy.midpoint))
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
 
 
 def sweep(

@@ -27,7 +27,6 @@ TRACING = BENCH / "tracing.py"
 TEST_ONLY = {
     "heterogeneous_deviation_bound",
     "chernoff_lambda_star",
-    "estimate_mgf",
     "MomentCertificate.save",
     "_TailCertificate.spot_check",
     "PmfModel.sample",

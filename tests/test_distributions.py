@@ -1049,6 +1049,52 @@ def test_wide_light_tails_keep_large_guides(model, large):
     assert (model._cache._build_guide().size == 2**16) == large
 
 
+def _distinct_by_diff(ascending):
+    """The reference for ``_distinct``: each value that exceeds the one
+    before it, the first against -1."""
+    return ascending[np.diff(ascending, prepend=-1) > 0]
+
+
+@pytest.mark.parametrize(
+    "ascending", [[], [0], [5, 5, 5], [0, 0, 1, 3, 3, 3, 7], list(range(9)), [2**40, 2**40, 2**41]]
+)
+def test_distinct_keeps_each_value_once(ascending):
+    ascending = np.array(ascending, dtype=np.intp)
+    assert np.array_equal(dist._distinct(ascending), _distinct_by_diff(ascending))
+
+
+_POWER_TABLE = np.arange(1, 20_001, dtype=np.float64) ** -2.2
+
+
+@pytest.mark.parametrize(
+    "make, targets",
+    [
+        pytest.param(lambda: Zeta(1.9), [0.5, 1 - 1e-4, 1 - 1e-5], id="zeta-1.9"),
+        pytest.param(lambda: Zeta(2.0), [0.5, 1 - 1e-4, 1 - 1e-5], id="zeta-2.0"),
+        pytest.param(lambda: Zeta(2.15), [0.5, 1 - 1e-5, 1 - 1e-6], id="zeta-2.15"),
+        pytest.param(lambda: Zeta(2.3), [0.5, 1 - 1e-5, 1 - 1e-7], id="zeta-2.3"),
+        pytest.param(lambda: Zeta(2.5), [0.5, 1 - 1e-5, 1 - 1e-7], id="zeta-2.5"),
+        pytest.param(lambda: Geometric(0.5), [0.5, _TOP], id="geometric-0.5"),
+        pytest.param(lambda: Geometric(1e-3), [0.3, 0.99, 1 - 1e-9], id="geometric-1e-3"),
+        pytest.param(lambda: Poisson(3.5), [0.5, _TOP], id="poisson-3.5"),
+        pytest.param(lambda: Poisson(1e6), [0.3, 1 - 1e-12], id="poisson-1e6"),
+        pytest.param(
+            lambda: Tabulated(_POWER_TABLE / _POWER_TABLE.sum()), [0.5, 1 - 1e-5, _TOP], id="table"
+        ),
+    ],
+)
+def test_guide_is_the_one_the_diff_distinct_builds(monkeypatch, make, targets):
+    model = make()
+    for target in targets:
+        cache = model._lookup(np.array([target]))
+        guide = cache._build_guide()
+        with monkeypatch.context() as patch:
+            patch.setattr(dist, "_distinct", _distinct_by_diff)
+            reference = cache._build_guide()
+        # bytes compare NaN with NaN too
+        assert guide.dtype == reference.dtype and guide.tobytes() == reference.tobytes(), target
+
+
 # -- guided inverse-CDF lookup -------------------------------------------------
 
 

@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,14 +25,13 @@ from entrobound import (
     certify_moment,
     entropy_interval,
     estimate_deviation_probability,
-    estimate_mgf,
     replicate_log_likelihood_means,
     reports_to_csv,
     reports_to_json,
     sweep,
     verify_bound,
 )
-from entrobound import montecarlo
+from entrobound import distributions, montecarlo
 from entrobound.montecarlo import CSV_COLUMNS, report_to_dict
 
 MGF_EXACT_PLUS_QUARTER = 1.0259713891429513
@@ -309,16 +310,147 @@ def test_engine_runs_no_replicates():
 
 
 def test_engine_memory_stays_tile_sized():
-    # 5,000 replicates of 200 draws fit one seeding block; filled whole, its
-    # uniforms and each lookup temporary would take about 8 MiB apiece
+    # 5,000 replicates of 200 draws fill one seeding block, whose uniforms
+    # take the workspace's 8 MiB; the lookup temporaries stay tile-sized,
+    # where block-sized ones would take about 8 MiB apiece too. The call
+    # runs in a fresh thread, whose workspace is allocated inside the
+    # traced window whatever this thread ran before.
     model = Geometric(0.5)
     tracemalloc.start()
     try:
-        replicate_log_likelihood_means(model, 200, 5000, 0)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            means = pool.submit(replicate_log_likelihood_means, model, 200, 5000, 0).result()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert means.shape == (5000,)
+    assert 8 * 2**20 <= peak < 16 * 2**20
+
+
+def _record_engine_steps(monkeypatch) -> list[str]:
+    """The engine's seeding blocks, cache growths, guide builds and scored
+    tiles, in the order they run, as "block", "grow", "guide" and "score"."""
+    steps = []
+
+    def recording(name, method):
+        def step(*args, **kwargs):
+            steps.append(name)
+            return method(*args, **kwargs)
+
+        return step
+
+    model, inverse_cdf = distributions.PmfModel, distributions._InverseCdf
+    monkeypatch.setattr(montecarlo, "_spawn_states", recording("block", montecarlo._spawn_states))
+    monkeypatch.setattr(model, "_extend_cdf", recording("grow", model._extend_cdf))
+    monkeypatch.setattr(inverse_cdf, "_build_guide", recording("guide", inverse_cdf._build_guide))
+    monkeypatch.setattr(inverse_cdf, "scores", recording("score", inverse_cdf.scores))
+    return steps
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_one_block_grows_the_cache_and_builds_a_guide_once(monkeypatch, seed):
+    # 200 replicates of 2000 draws are one seeding block of 13 scoring
+    # tiles; growing the cache tile by tile took two or three growths and
+    # as many guides at these seeds
+    steps = _record_engine_steps(monkeypatch)
+    montecarlo._means_range(Zeta(2.2), 2000, seed, 0, 200)
+    assert steps.count("block") == 1 and steps.count("score") == 13
+    assert steps.count("grow") == steps.count("guide") == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_growths_never_outnumber_seeding_blocks(monkeypatch, seed):
+    # 100-draw blocks of seven 13-draw replicates, scored in 30-draw tiles
+    # of two: 40 replicates make six blocks of up to four tiles each
+    monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 100)
+    monkeypatch.setattr(montecarlo, "_TILE_DRAWS", 30)
+    steps = _record_engine_steps(monkeypatch)
+    means = montecarlo._means_range(Zeta(1.9), 13, seed, 3, 43)
+    assert steps.count("block") == 6 and steps.count("score") == 23
+    blocks = []
+    for step in steps:
+        if step == "block":
+            blocks.append([])
+        else:
+            blocks[-1].append(step)
+    assert all(block.count("grow") <= 1 and block.count("guide") <= 1 for block in blocks), blocks
+    assert np.array_equal(means, _reference_means(Zeta(1.9), 13, seed, 3, 43))
+
+
+def _workspace_arrays() -> tuple[np.ndarray, ...]:
+    """The arrays this thread's replicate engine keeps between calls."""
+    space = montecarlo._WORKSPACE
+    return space.uniforms, space.work.bucket, space.work.values, space.work.mask
+
+
+def test_a_second_call_of_the_same_shape_reuses_the_workspace():
+    model = Geometric(0.5)
+    first = montecarlo._means_range(model, 200, 0, 0, 1000)
+    kept = _workspace_arrays()
+    tracemalloc.start()
+    try:
+        second = montecarlo._means_range(model, 200, 1, 0, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(now is before for now, before in zip(_workspace_arrays(), kept))
+    assert not np.array_equal(first, second)
+    # neither the 1.6 MB of uniforms nor the 0.55 MB of lookup buffers is
+    # allocated again; seeding the block's 1,000 states takes about 0.25 MB
+    assert peak < 2**19
+    assert all(array.size <= montecarlo._BLOCK_DRAWS for array in kept)
+
+
+def test_a_replicate_longer_than_a_block_leaves_the_workspace_as_it_was():
+    kept = _workspace_arrays()
+    contents = [array.tobytes() for array in kept]
+    n = montecarlo._BLOCK_DRAWS + 1
+    means = montecarlo._means_range(Geometric(0.5), n, 0, 0, 1)
+    assert all(now is before for now, before in zip(_workspace_arrays(), kept))
+    assert [array.tobytes() for array in kept] == contents
+    assert np.array_equal(means, _reference_means(Geometric(0.5), n, 0, 0, 1))
+
+
+def test_threads_running_the_engine_at_once_get_the_serial_means():
+    def models():
+        return [Zeta(2.2), Geometric(0.3), Poisson(3.5), NegativeBinomial(2.5, 0.4)]
+
+    serial = [replicate_log_likelihood_means(model, 500, 400, seed) for seed, model in enumerate(models())]
+
+    def run(seed, model):
+        start.wait(timeout=60)
+        results[seed] = replicate_log_likelihood_means(model, 500, 400, seed)
+
+    # a few rounds, each on fresh models, so each thread grows its own
+    # cache as it scores; more threads than cores, switching often, so a
+    # buffer shared between threads would be overwritten mid-call
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            start = threading.Barrier(len(serial))
+            results = [None] * len(serial)
+            threads = [threading.Thread(target=run, args=args) for args in enumerate(models())]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(np.array_equal(got, want) for got, want in zip(results, serial))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_block_past_the_cache_cap_raises_before_any_tile_is_scored(monkeypatch):
+    # 40 replicates of 13 draws are one seeding block of 20 tiles; at this
+    # seed its first tiles lie within the cap and a later one past it
+    monkeypatch.setattr(montecarlo, "_TILE_DRAWS", 30)
+    monkeypatch.setattr(distributions, "_CDF_INDEX_CAP", 2**14)
+    steps = _record_engine_steps(monkeypatch)
+    message = "inverse-CDF cache would exceed 16384 entries; the requested draw lies too deep in the tail"
+    with pytest.raises(ResourceCapError, match=message):
+        montecarlo._means_range(Zeta(1.5), 13, 0, 0, 40)
+    assert "score" not in steps
 
 
 def test_engine_refuses_a_table_with_unlisted_mass():
@@ -432,10 +564,22 @@ def test_fail_verdict_on_an_unsound_certificate(geom_half):
 # -- MGF estimation -----------------------------------------------------------------
 
 
+def _estimate_mgf(model, entropy, lam, samples, seed):
+    """Monte Carlo estimate of the centred log-likelihood MGF at lam: the
+    sample mean of exp(lam * (log P(X) + H_mid)) over one seeded stream,
+    and its standard error."""
+    if not (isinstance(samples, int) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    u = np.random.default_rng(np.random.SeedSequence(seed)).random(samples)
+    values = np.exp(lam * (model._lookup(u).scores(u) + entropy.midpoint))
+    stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return float(np.mean(values)), stderr
+
+
 def test_estimate_mgf_matches_certified_value(geom_half):
     cert = certify_moment(geom_half, r=0.5, eps=1e-9)
     interval = entropy_interval(geom_half, cert, 1e-12)
-    mean, stderr = estimate_mgf(geom_half, interval, 0.25, samples=200_000, seed=31)
+    mean, stderr = _estimate_mgf(geom_half, interval, 0.25, samples=200_000, seed=31)
     assert stderr < 1e-3
     assert abs(mean - MGF_EXACT_PLUS_QUARTER) <= 4.0 * stderr
 
@@ -454,7 +598,7 @@ def test_estimate_mgf_scores_draws_from_the_head(monkeypatch):
     cert = certify_moment(model, r=0.5, eps=1e-9)
     interval = entropy_interval(model, cert, 1e-12)
     monkeypatch.setattr(Geometric, "log_pmf_array", counted)
-    estimate_mgf(model, interval, 0.25, samples=200_000, seed=31)
+    _estimate_mgf(model, interval, 0.25, samples=200_000, seed=31)
     assert sum(terms) <= 2048
 
 
@@ -462,7 +606,7 @@ def test_estimate_mgf_validation(geom_half):
     cert = certify_moment(geom_half, r=0.5, eps=1e-9)
     interval = entropy_interval(geom_half, cert, 1e-12)
     with pytest.raises(ValueError):
-        estimate_mgf(geom_half, interval, 0.25, samples=0, seed=0)
+        _estimate_mgf(geom_half, interval, 0.25, samples=0, seed=0)
 
 
 # -- integrity ------------------------------------------------------------------------
