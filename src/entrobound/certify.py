@@ -112,8 +112,11 @@ class MomentCertificate:
         """The saved form: indented JSON with sorted keys and a final newline."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+    def save(self, path: str | Path) -> str:
+        """Write the saved form to ``path``, and return it."""
+        text = self.to_json()
+        Path(path).write_text(text)
+        return text
 
     @classmethod
     def load(cls, path: str | Path) -> "MomentCertificate":

@@ -180,9 +180,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _cmd_certify(args: argparse.Namespace) -> int:
     model = parse_model_spec(args.model)
     certificate = _resolve_certificate(model, None, args.r, args.slack, args.target_eps)
-    text = certificate.to_json()
-    if args.out:
-        Path(args.out).write_text(text)
+    text = certificate.save(args.out) if args.out else certificate.to_json()
     if args.format == "json":
         sys.stdout.write(text)
     else:

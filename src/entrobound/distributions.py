@@ -1,7 +1,7 @@
 """Discrete distributions on the 1-based positive integers with tail control.
 
-Every model exposes exact log-probabilities, reproducible inverse-CDF
-sampling, and a tail certificate describing how fast its masses decay.
+Every model exposes exact log-probabilities, inverse-CDF sampling, and a
+tail certificate describing how fast its masses decay.
 Certificates come in two shapes: a power-law cap on individual masses,
 and a geometric cap on successive mass ratios. They are the entry point
 for everything else in this package; moment certification, entropy
@@ -357,14 +357,12 @@ class _InverseCdf:
         below float resolution, folds onto the last cached outcome."""
         return np.minimum(np.searchsorted(self.cdf, u, side="right"), self.cdf.size - 1)
 
-    def scores(self, u: np.ndarray, work: _LookupBuffers | None = None) -> np.ndarray:
+    def scores(self, u: np.ndarray, work: _LookupBuffers) -> np.ndarray:
         """``log_pmf[index(u)]``, bit for bit, for uniforms ``u`` in [0, 1) of
-        any shape, written into ``work`` or into fresh buffers."""
+        any shape, written into ``work``, which has room for all of them."""
         guide = self._guide
         if guide is None:
             guide = self._guide = self._build_guide()
-        if work is None:
-            work = _LookupBuffers(u.size)
         bucket, values, split = work.views(u.shape)
         # u * m is exact and below m, so the cast's truncation is its floor,
         # and mode="clip" never clips
@@ -451,23 +449,24 @@ class PmfModel(abc.ABC):
     supplies scalar lookups, equality on parameters, and inverse-CDF
     sampling. The model's one log-pmf memo is the head, log p_1 ..
     log p_size: a read-only view of the filled prefix of a buffer whose
-    capacity doubles, into which ``log_pmf_array`` writes the outcomes the
-    head lacks, so growth computes no entry twice and copies entries only
-    when the capacity doubles. The outcomes it is given are views of one
-    shared table of outcomes, or that table plus an offset written into the
-    buffer itself, never a fresh index array. Scalar lookups grow the head
-    to their outcome rounded up to a multiple of 1024 and series ranges to
-    their last outcome, up to ``CHUNK`` (8 MiB) and the table end; the
-    sampling cache of cumulative masses grows it as far as its own, a block
-    of ``_CDF_BLOCK`` outcomes at a time and only until it covers the
-    largest uniform of a lookup, up to ``_CDF_INDEX_CAP`` and the table end,
-    first reserving the buffer as far as that growth must reach. No
-    buffer's capacity passes the cap of the caller that grows it. The
-    cumulative masses grow into a buffer of their own the same way, and the
-    cache is one record viewing its filled prefix, replaced when it grows,
-    so a lookup never mixes two states of it; it never affects sampled
-    values, only speed. Pickling drops the cache, the head and their
-    buffers.
+    capacity doubles, into which ``_grow_head``, the one place that writes
+    either, has ``log_pmf_array`` write the outcomes the head lacks, so
+    growth computes no entry twice and copies entries only when the
+    capacity doubles. The outcomes it is given are views of one shared
+    table of outcomes, or that table plus an offset written into the buffer
+    itself, never a fresh index array. Scalar lookups grow the head to
+    their outcome rounded up to a multiple of 1024 and series ranges to
+    their last outcome, up to ``CHUNK`` (8 MiB) and the table end. The
+    sampling cache of cumulative masses grows it a block of ``_CDF_BLOCK``
+    outcomes at a time, up to ``_CDF_INDEX_CAP`` and the table end, until
+    the cache covers a lookup's largest uniform, reserving the buffer at
+    the first block as far as that growth must reach; the head keeps every
+    block, a futile one's too. No buffer's capacity
+    passes the cap of the caller that grows it. The cumulative masses grow
+    into a buffer of their own the same way, and the cache is one record
+    viewing its filled prefix, replaced when it grows, so a lookup never
+    mixes two states of it; it never affects sampled values, only speed.
+    Pickling drops the cache, the head and their buffers.
     """
 
     def __init__(self) -> None:
@@ -551,29 +550,21 @@ class PmfModel(abc.ABC):
                 return self.log_pmf_array(_outcomes(lo, hi, out), out)
         return self.log_pmf_array(np.arange(lo, hi + 1, dtype=np.int64), out)
 
-    def _doubling(self, k: int) -> int:
-        """The capacity of a head buffer that holds outcome ``k``: doubled
-        from 1024 outcomes, at most ``_head_cap()``."""
-        return min(self._head_cap(), max(1024, 1 << (k - 1).bit_length()))
-
-    def _grow_head(self, want: int) -> np.ndarray:
-        """The head, grown to hold outcomes 1..``want`` (at most
-        ``_head_cap()``), computing only the outcomes it lacks, from a view
-        of the outcome table. Its buffer's capacity is set by ``_doubling``,
-        so a run of growths copies the head only when they pass a power of
-        two, and fills the buffer without copying in between."""
+    def _grow_head(self, want: int, need: int | None = None, cap: int | None = None) -> np.ndarray:
+        """The head, grown to outcomes 1..``want`` by computing those it lacks
+        into its buffer, which ``_reserve`` gives room for ``need``, at most
+        ``cap``. By default the cap is ``_head_cap()`` and the need doubles
+        from 1024 outcomes, so a run of growths copies the head only when
+        they pass a power of two; the sampling cache passes its own."""
         have = 0 if self._head is None else self._head.size
         if want > have:
-            buf = self._head_buf = _reserve(self._head_buf, have, self._doubling(want), self._head_cap())
-            self.log_pmf_array(_outcomes(have + 1, want), buf[have:want])
-            self._fill_head(want)
+            cap = self._head_cap() if cap is None else cap
+            need = min(cap, max(1024, 1 << (want - 1).bit_length())) if need is None else need
+            buf = self._head_buf = _reserve(self._head_buf, have, need, cap)
+            self.log_pmf_array(_outcomes(have + 1, want, buf[have:want]), buf[have:want])
+            self._head = buf[:want]
+            self._head.setflags(write=False)
         return self._head
-
-    def _fill_head(self, size: int) -> None:
-        """Publish the first ``size`` entries of the head buffer as the head."""
-        head = self._head_buf[:size]
-        head.setflags(write=False)
-        self._head = head
 
     def _check_indices(self, ks: np.ndarray) -> np.ndarray:
         """``ks`` as int64 outcomes, refused when one is below 1; outcomes
@@ -599,24 +590,10 @@ class PmfModel(abc.ABC):
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, seed: int, count: int) -> np.ndarray:
-        """Draw ``count`` outcomes reproducibly from ``seed``.
-
-        Uses inverse-transform sampling against cached cumulative sums, so
-        the sampled law matches the stored pmf exactly up to float64
-        rounding of the partial sums.
-        """
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        rng = np.random.default_rng(seed)
-        return self.draw(rng, count)
-
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Like ``sample`` but consuming an existing generator stream."""
+        """``count`` outcomes drawn from ``rng`` by inverse transform, exact
+        up to the float64 rounding of the cached cumulative masses."""
         u = rng.random(count)
-        return self._invert(u)
-
-    def _invert(self, u: np.ndarray) -> np.ndarray:
         if u.size == 0:
             return np.zeros(0, dtype=np.int64)
         cache = self._lookup(u)
@@ -680,14 +657,14 @@ class PmfModel(abc.ABC):
         carried from block to block, and growth stops after the first block
         that passes ``target``; the record keeps the carry for the next
         growth. A chunk that leaves its positive base unchanged finds the
-        tail below float resolution: it is futile, dropped whole, and the
-        cache is exhausted. The cumulative masses and the log-masses the
-        head lacks are written past the filled prefixes of their buffers,
-        which only the new record and head then view; the head supplies
-        each log-mass it holds and loses none. A buffer that lacks room is
-        reserved once, as far as ``_reach`` finds this growth must fill it
-        (or to twice its capacity, where that is further), so a deep growth
-        copies neither buffer on the way.
+        tail below float resolution: it is futile, its cumulative masses are
+        dropped whole, and the cache is exhausted. ``_grow_head`` computes
+        each block's log-masses, and the head keeps them, a futile chunk's
+        too. The cumulative masses are written past the filled prefix of
+        their buffer, which only the new record then views. A buffer that
+        lacks room is reserved once, as far as ``_reach`` finds this growth
+        must fill it (or to twice its capacity, where further), so a deep
+        growth copies neither buffer on the way.
         """
         cache = self._cache
         end = self.max_index()
@@ -698,8 +675,7 @@ class PmfModel(abc.ABC):
             offset, stored, top = cache.offset, cache.cdf.size, cache.top
             base, carry = cache.base, cache.carry
         have = before = offset + stored
-        known = 0 if self._head is None else self._head.size
-        head, sums = self._head_buf, self._cdf_buf
+        sums = self._cdf_buf
         reach = self._reach(target, cap)
         # scratch[0] holds the carry and scratch[1:] a block's masses, so one
         # cumsum continues the chunk's running sum
@@ -717,10 +693,7 @@ class PmfModel(abc.ABC):
                 base, carry, chunk = top, 0.0, have
             stop = min(chunk_end, have + _CDF_BLOCK)
             size = stop - have
-            if stop > known:  # the head lacks outcomes new .. stop
-                new = max(known, have)
-                head = _reserve(head, new, max(stop, reach), cap)
-                self.log_pmf_array(_outcomes(new + 1, stop, head[new:stop]), head[new:stop])
+            head = self._grow_head(stop, max(stop, reach), cap)
             np.exp(head[have:stop], out=scratch[1 : size + 1])
             scratch[0] = carry
             np.cumsum(scratch[: size + 1], out=scratch[: size + 1])
@@ -744,9 +717,7 @@ class PmfModel(abc.ABC):
                 stored = have - offset
                 exhausted = True
                 break
-        self._head_buf, self._cdf_buf = head, sums
-        if max(known, have) > known:
-            self._fill_head(max(known, have))
+        self._cdf_buf = sums
         if have > before:
             cdf = sums[:stored]
             cdf.setflags(write=False)

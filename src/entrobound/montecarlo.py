@@ -188,6 +188,7 @@ _TILE_DRAWS = 2**15
 # at 128 MiB, and _MAX_REPLICATES means take 1 GiB.
 _MAX_DRAWS = 2**24
 _MAX_REPLICATES = 2**27
+assert _MAX_REPLICATES < 2**32, "raising the cap needs _spawn_states' second spawn-key word back"
 
 
 def _hashmix(values: np.ndarray, count: int, init: int, mult: int, step: int) -> np.ndarray:
@@ -199,16 +200,6 @@ def _hashmix(values: np.ndarray, count: int, init: int, mult: int, step: int) ->
     steps = np.array(consts, dtype=np.uint32)[:, None]
     mixed = values ^ steps[:-1]
     mixed *= steps[1:]
-    mixed ^= mixed >> np.uint32(16)
-    return mixed
-
-
-def _absorb(pool: np.ndarray, word: np.ndarray, step: int) -> np.ndarray:
-    """Mix one spawn-key word per index into each of the four pool words,
-    from hash step ``step``: ``pool`` is (4, 1) or (4, R) uint32 and
-    ``word`` is (R,) uint32."""
-    hashed = _hashmix(word, _POOL_SIZE, _INIT_A, _MULT_A, step)
-    mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * hashed
     mixed ^= mixed >> np.uint32(16)
     return mixed
 
@@ -228,13 +219,13 @@ def _mulhi64(x: np.ndarray, c: int) -> np.ndarray:
 
 
 def _spawn_states(seed: int, indices: np.ndarray) -> np.ndarray:
-    """PCG64 ``state`` and ``inc`` of ``_replicate_rng(seed, i)`` for each index,
-    one row ``[state_lo, state_hi, inc_lo, inc_hi]`` of uint64 words per index.
+    """PCG64 ``state`` and ``inc`` of ``_replicate_rng(seed, i)`` for each index
+    i < 2**32, one row ``[state_lo, state_hi, inc_lo, inc_hi]`` of uint64s.
 
     Starts from the pool of ``SeedSequence(seed)``, which numpy has mixed
     from the seed's words, and replays the rest on arrays, one column per
-    index: absorbing the spawn key ``(i,)``, ``generate_state(4, uint64)``
-    and PCG64's seeding step.
+    index: absorbing the one-word spawn key ``(i,)``, ``generate_state(4,
+    uint64)`` and PCG64's seeding step.
     """
     seed = operator.index(seed)
     pool = np.random.SeedSequence(seed).pool
@@ -244,13 +235,10 @@ def _spawn_states(seed: int, indices: np.ndarray) -> np.ndarray:
     words = max(1, -(-seed.bit_length() // 32))
     steps = 16 + _POOL_SIZE * max(0, words - _POOL_SIZE)
 
-    indices = np.asarray(indices, dtype=np.uint64)
-    mixed = _absorb(pool[:, None], indices.astype(np.uint32), steps)
-    high = np.flatnonzero(indices >> _SHIFT32)
-    if high.size:
-        # Indices of 2**32 and beyond carry a second spawn-key word.
-        second = (indices[high] >> _SHIFT32).astype(np.uint32)
-        mixed[:, high] = _absorb(mixed[:, high], second, steps + _POOL_SIZE)
+    # the spawn-key word, hashed once into each pool word and mixed with it
+    hashed = _hashmix(np.asarray(indices).astype(np.uint32), _POOL_SIZE, _INIT_A, _MULT_A, steps)
+    mixed = np.uint32(_MIX_MULT_L) * pool[:, None] - np.uint32(_MIX_MULT_R) * hashed
+    mixed ^= mixed >> np.uint32(16)
 
     # generate_state(4, uint64) cycles through the pool twice; each uint64
     # is two little-endian uint32 words, giving the seed and the increment
@@ -300,21 +288,14 @@ def _layout_holds() -> bool:
     """Whether a ``_spawn_states`` row written through ``_struct_words``
     loads the state ``_replicate_rng`` builds. numpy's build fixes the
     layout for every generator, so one replicate checks it once per
-    process: its seed has several words and its spawn key two."""
-    seed, index = 2**128 + 3, 2**32 + 7
+    process: its seed has several words, its index is the engine's last."""
+    seed, index = 2**128 + 3, _MAX_REPLICATES - 1
     bit_generator = np.random.PCG64(0)
     view = _struct_words(bit_generator)
     if view is None:
         return False
     view[:] = _spawn_states(seed, np.array([index]))[0]
     return bit_generator.state == _replicate_rng(seed, index).bit_generator.state
-
-
-def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | None:
-    """A writable uint64 view ``[state_lo, state_hi, inc_lo, inc_hi]`` of the
-    generator's 128-bit ``state`` and ``inc``, valid while ``bit_generator``
-    lives, or None where numpy's private layout is not that."""
-    return _struct_words(bit_generator) if _layout_holds() else None
 
 
 class _StateSetter:
@@ -361,9 +342,7 @@ def _means_range(model: PmfModel, n: int, seed: int, lo: int, hi: int) -> np.nda
     tile = min(rows, max(1, _TILE_DRAWS // n))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    view = _state_words(bit_generator)
-    if view is None:
-        view = _StateSetter(bit_generator)
+    view = _struct_words(bit_generator) if _layout_holds() else _StateSetter(bit_generator)
     draws, tile_draws = min(rows, hi - lo) * n, min(tile, hi - lo) * n
     space = _WORKSPACE
     uniforms = space.uniforms if draws <= space.uniforms.size else np.empty(draws)

@@ -454,7 +454,8 @@ def _results(make, warm: str | None):
     selected = select_r(model(), eps=eps, target_eps=0.2)
     # then a sample, where the model can draw one
     m = model()
-    drawn = None if m.max_index() and not m.is_complete() else m.sample(3, 2000).tobytes()
+    sampled = not m.max_index() or m.is_complete()
+    drawn = m.draw(np.random.default_rng(3), 2000).tobytes() if sampled else None
     return cert, entropy, mgf, deep, selected, drawn
 
 

@@ -27,9 +27,7 @@ TRACING = BENCH / "tracing.py"
 TEST_ONLY = {
     "heterogeneous_deviation_bound",
     "chernoff_lambda_star",
-    "MomentCertificate.save",
     "_TailCertificate.spot_check",
-    "PmfModel.sample",
 }
 
 

@@ -281,27 +281,29 @@ def test_tail_validation():
 
 def test_sampling_is_deterministic(geom_half, zeta_two):
     for model in (geom_half, zeta_two):
-        a = model.sample(seed=42, count=5000)
-        b = model.sample(seed=42, count=5000)
+        a = model.draw(np.random.default_rng(42), 5000)
+        b = model.draw(np.random.default_rng(42), 5000)
         assert np.array_equal(a, b)
-        c = model.sample(seed=43, count=5000)
+        c = model.draw(np.random.default_rng(43), 5000)
         assert not np.array_equal(a, c)
 
 
 def test_sample_edge_cases(geom_half):
-    assert geom_half.sample(seed=0, count=0).shape == (0,)
+    assert geom_half.draw(np.random.default_rng(0), 0).shape == (0,)
+    fresh = Geometric(0.5)
+    assert fresh.draw(np.random.default_rng(0), 0).dtype == np.int64 and fresh._cache is None
     with pytest.raises(ValueError):
-        geom_half.sample(seed=0, count=-1)
+        geom_half.draw(np.random.default_rng(0), -1)
 
 
 def test_sampled_frequencies_match_pmf(geom_half, zeta_two):
     n = 100_000
-    ks = geom_half.sample(seed=7, count=n)
+    ks = geom_half.draw(np.random.default_rng(7), n)
     f1 = np.mean(ks == 1)
     # p_1 = 0.5; allow 4 binomial standard errors
     assert abs(f1 - 0.5) < 4.0 * math.sqrt(0.25 / n)
 
-    zs = zeta_two.sample(seed=7, count=n)
+    zs = zeta_two.draw(np.random.default_rng(7), n)
     p1 = 6.0 / math.pi**2
     g1 = np.mean(zs == 1)
     assert abs(g1 - p1) < 4.0 * math.sqrt(p1 * (1 - p1) / n)
@@ -310,7 +312,7 @@ def test_sampled_frequencies_match_pmf(geom_half, zeta_two):
 def test_sampled_law_total_variation(geom_half):
     """TV distance between empirical and exact law stays near MC noise."""
     n = 100_000
-    ks = geom_half.sample(seed=11, count=n)
+    ks = geom_half.draw(np.random.default_rng(11), n)
     top = 40
     counts = np.bincount(ks, minlength=top + 1)[1 : top + 1]
     exact = np.exp(geom_half.log_pmf_array(np.arange(1, top + 1, dtype=np.int64)))
@@ -323,7 +325,7 @@ def test_deep_tail_draw_hits_resource_cap(monkeypatch):
     monkeypatch.setattr(dist, "_CDF_INDEX_CAP", 4096)
     heavy = Zeta(1.05)
     with pytest.raises(ResourceCapError, match="inverse-CDF cache"):
-        heavy._invert(np.array([0.9999]))
+        heavy._lookup(np.array([0.9999]))
 
 
 def test_zeta_cap_trips_before_the_cache_grows():
@@ -331,7 +333,7 @@ def test_zeta_cap_trips_before_the_cache_grows():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match="inverse-CDF cache would exceed 134217728 entries"):
-            Zeta(1.5).sample(0, 200_000)
+            Zeta(1.5).draw(np.random.default_rng(0), 200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -425,7 +427,7 @@ def test_light_tail_cap_trips_before_the_cache_grows(model):
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match="inverse-CDF cache would exceed 134217728 entries"):
-            model.sample(0, 5)
+            model.draw(np.random.default_rng(0), 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -453,20 +455,21 @@ def test_light_tail_early_refusal_is_where_growth_reaches_the_cap(monkeypatch, f
 
 def test_cdf_cache_is_shared_and_consistent(geom_half):
     fresh = Geometric(0.25)
-    first = fresh.sample(seed=1, count=100)
+    first = fresh.draw(np.random.default_rng(1), 100)
     # a second batch reuses the cache; values must match a cold model
-    second = fresh.sample(seed=2, count=100)
+    second = fresh.draw(np.random.default_rng(2), 100)
     cold = Geometric(0.25)
-    assert np.array_equal(second, cold.sample(seed=2, count=100))
-    assert np.array_equal(first, cold.sample(seed=1, count=100))
+    assert np.array_equal(second, cold.draw(np.random.default_rng(2), 100))
+    assert np.array_equal(first, cold.draw(np.random.default_rng(1), 100))
 
 
 def test_models_pickle_without_cache(zeta_two):
-    zeta_two.sample(seed=0, count=10)
+    zeta_two.draw(np.random.default_rng(0), 10)
     clone = pickle.loads(pickle.dumps(zeta_two))
     assert clone == zeta_two
     assert clone._cdf is None
-    assert np.array_equal(clone.sample(seed=5, count=50), zeta_two.sample(seed=5, count=50))
+    drawn = clone.draw(np.random.default_rng(5), 50)
+    assert np.array_equal(drawn, zeta_two.draw(np.random.default_rng(5), 50))
 
 
 # -- log-pmf head ----------------------------------------------------------------
@@ -694,7 +697,7 @@ def test_head_refuses_outcomes_below_one(warm):
 def test_models_pickle_without_head():
     model = Poisson(3.0)
     model.log_pmf(2**20)
-    model.sample(0, 10)
+    model.draw(np.random.default_rng(0), 10)
     assert model._head.nbytes == 8 * 2**20 and model._cdf_buf is not None
     blob = pickle.dumps(model)
     assert len(blob) < 4096
@@ -716,25 +719,28 @@ def test_certify_then_sample_computes_each_log_mass_once(monkeypatch):
     model = Geometric(0.002)
     certify_moment(model, r=0.05)
     certified = model._head.size
-    model.sample(0, 1000)
+    model.draw(np.random.default_rng(0), 1000)
     model._lookup(np.array([1.0 - 1e-15]))  # grows the cache past the certified head
     assert model._head.size > certified and not model._cache.exhausted
     assert sum(terms) == model._head.size
 
 
-def test_a_futile_cdf_extension_leaves_the_head_as_it_was():
-    # The last extension finds the tail below float resolution and keeps nothing.
+def test_a_futile_cdf_extension_keeps_its_log_masses_in_the_head():
+    # The last extension, over the chunk (16384, 32768], finds the tail below
+    # float resolution: the cache drops its cumulative masses, and the head
+    # keeps its log-masses, so no later series computes them again.
     model = Geometric(0.003)
     model._lookup(np.array([np.nextafter(1.0, 0.0)]))
     assert model._cache.exhausted
-    assert model._head.size == model._cache.offset + model._cache.cdf.size
+    assert model._cache.offset + model._cache.cdf.size == 16_384
+    assert model._head.size == 32_768
     assert not model._head.flags.writeable
-    # A head certification grew first is never shrunk below its size.
+    # A head certification grew first grows to the end of that chunk too.
     model = Geometric(0.003)
     certify_moment(model)
-    certified = model._head.size
+    assert model._head.size == 17_408
     model._lookup(np.array([np.nextafter(1.0, 0.0)]))
-    assert model._head.size == certified > model._cache.offset + model._cache.cdf.size
+    assert model._head.size == 32_768 and model._cache.offset + model._cache.cdf.size == 16_384
 
 
 def _one_expression_log_pmf(model, ks):
@@ -775,22 +781,37 @@ def test_log_pmf_array_into_a_buffer_is_bitwise_a_fresh_array(model, ks, skip):
 
 def test_series_and_sampling_compute_each_log_mass_at_most_once(monkeypatch):
     computed = []
-    original = Zeta.log_pmf_array
 
-    def counted(self, ks, out=None):
-        computed.append(np.array(ks, dtype=np.int64))
-        return original(self, ks, out)
+    def count_log_masses(family):
+        original = family.log_pmf_array
 
-    monkeypatch.setattr(Zeta, "log_pmf_array", counted)
+        def counted(self, ks, out=None):
+            computed.append(np.array(ks, dtype=np.int64))
+            return original(self, ks, out)
+
+        monkeypatch.setattr(family, "log_pmf_array", counted)
+
+    def assert_each_computed_once(model):
+        ks = np.concatenate(computed)
+        assert np.unique(ks).size == ks.size  # no outcome computed twice
+        assert model._head.size == ks.size  # and every one computed is kept
+
+    count_log_masses(Zeta)
     model = Zeta(3.0)
     cert = certify_moment(model, eps=1e-3)
     interval = entropy_interval(model, cert, 1e-4)
     for x in (-0.9, -0.6, -0.3, -0.1, 0.1, 0.3, 0.6, 0.9):
         mgf_exact(model, cert, interval, x * cert.r, tol=1e-4)
-    model.sample(0, 5000)
-    ks = np.concatenate(computed)
-    assert np.unique(ks).size == ks.size  # no outcome computed twice
-    assert model._head.size == ks.size  # and every one computed is kept
+    model.draw(np.random.default_rng(0), 5000)
+    assert_each_computed_once(model)
+    # a series after a futile extension reads the log-masses it computed
+    computed.clear()
+    count_log_masses(Geometric)
+    model = Geometric(0.003)
+    model._lookup(np.array([np.nextafter(1.0, 0.0)]))
+    model.log_pmf_range(1, 40_000)
+    assert sum(ks.size for ks in computed) == 40_000
+    assert_each_computed_once(model)
 
 
 def test_a_series_computes_exactly_the_log_masses_it_sums(monkeypatch):
@@ -889,7 +910,8 @@ def test_block_grown_cache_is_the_doubling_build(monkeypatch, name, block):
     if name == "table":
         assert _stored(model) == 3000 and model._cache.exhausted
     if name.endswith("futile"):
-        assert model._cache.exhausted and model._head.size == _stored(model)
+        # the futile chunk's cumulative masses are dropped, its log-masses kept
+        assert model._cache.exhausted and _stored(model) == 16_384 and model._head.size == 32_768
 
 
 def _trial_by_trial_guide(cache):
@@ -1142,12 +1164,18 @@ def _sorted_cdfs(draw):
     return cdf
 
 
+def _scores(cache, u):
+    """``cache.scores`` of ``u`` into buffers of exactly its size."""
+    return cache.scores(u, dist._LookupBuffers(u.size))
+
+
 def _assert_scored(cache, u, want):
     """``scores`` bit for bit the stored log-masses at the positions ``want``,
-    for ``u`` of any shape, into fresh buffers and into a workspace larger
-    than the tile, as the engine's last, partial tile uses it."""
+    for ``u`` of any shape, into buffers of its exact size and into a
+    workspace larger than the tile, as the engine's last, partial tile uses
+    it."""
     expected = cache.log_pmf[want].tobytes()
-    scored = cache.scores(u)
+    scored = _scores(cache, u)
     assert scored.shape == u.shape and scored.tobytes() == expected
     work = dist._LookupBuffers(u.size + 7)
     assert cache.scores(u, work).tobytes() == expected
@@ -1201,8 +1229,7 @@ def _assert_guided(model, u):
     _assert_scored(cache, u, want - cache.offset)
     # log_pmf[min(searchsorted(whole_cdf, u, "right"), size - 1)], outcomes from 1
     expected = model.log_pmf_array(want.reshape(-1) + 1).reshape(u.shape)
-    assert cache.scores(u).tobytes() == expected.tobytes()
-    assert np.array_equal(model._invert(u), want + 1)
+    assert _scores(cache, u).tobytes() == expected.tobytes()
 
 
 _GUIDED_MODELS = {
@@ -1237,7 +1264,7 @@ def test_guided_lookup_equals_binary_search_on_models(name, seed):
     clone = pickle.loads(pickle.dumps(model))
     assert clone._cdf is None
     _assert_guided(clone, u)
-    assert clone._lookup(u).scores(u).tobytes() == model._lookup(u).scores(u).tobytes()
+    assert _scores(clone._lookup(u), u).tobytes() == _scores(model._lookup(u), u).tobytes()
     # the largest uniform grows the cache to its end, or until its tail is
     # below float resolution, and scores on the last outcome; a zeta cache
     # would pass the cap first
@@ -1251,7 +1278,11 @@ def test_guided_lookup_equals_binary_search_on_models(name, seed):
 def test_lookup_into_a_workspace_matches_fresh_buffers(name):
     model = _GUIDED_MODELS[name]()
     tile = np.random.default_rng(5).random((7, 13))
-    model._lookup(tile).scores(tile)
+    # a draw from the same stream selects the outcomes of the tile's positions
+    drawn = model.draw(np.random.default_rng(5), tile.size)
+    cache = model._lookup(tile)
+    assert np.array_equal(drawn, cache.index(tile).reshape(-1) + cache.offset + 1)
+    _scores(cache, tile)  # builds the guide
     # midpoints of buckets that a CDF entry splits, which take the binary
     # search
     guide = model._cache._guide
@@ -1264,10 +1295,9 @@ def test_lookup_into_a_workspace_matches_fresh_buffers(name):
         cache = model._lookup(u)
         idx = cache.index(u)
         assert idx.shape == u.shape
-        assert np.array_equal(model._invert(u), idx + cache.offset + 1)
         scores = cache.scores(u, work)
         assert scores.shape == u.shape
-        assert scores.tobytes() == cache.scores(u).tobytes() == cache.log_pmf[idx].tobytes()
+        assert scores.tobytes() == _scores(cache, u).tobytes() == cache.log_pmf[idx].tobytes()
 
 
 # -- tabulated models --------------------------------------------------------
@@ -1288,7 +1318,7 @@ def test_tabulated_complete_table_basics():
 
 def test_tabulated_complete_table_samples_exactly():
     t = _complete_table()
-    ks = t.sample(seed=3, count=50_000)
+    ks = t.draw(np.random.default_rng(3), 50_000)
     assert ks.min() >= 1 and ks.max() <= 4
     f = np.bincount(ks, minlength=5)[1:] / ks.size
     assert np.all(np.abs(f - t.masses) < 4.0 * np.sqrt(t.masses / ks.size))
@@ -1303,7 +1333,7 @@ def test_tabulated_refuses_lookup_beyond_table():
 def test_tabulated_refuses_tail_sampling():
     t = Tabulated([0.5, 0.25, 0.125], tail=GeometricRatioTail(k0=3, q=0.5))
     with pytest.raises(ModelError, match="cannot sample tail"):
-        t.sample(seed=0, count=10)
+        t.draw(np.random.default_rng(0), 10)
 
 
 def test_tabulated_missing_mass_requires_certificate():
@@ -1344,8 +1374,9 @@ def test_tabulated_rejects_masses_that_contradict_the_tail():
 def test_sampling_past_masses_that_underflow():
     # Poisson(1e6) masses underflow to 0 far beyond the first cache chunk
     code = (
+        "import numpy as np\n"
         "from entrobound import Poisson\n"
-        "print(*Poisson(1e6).sample(0, 5).tolist())\n"
+        "print(*Poisson(1e6).draw(np.random.default_rng(0), 5).tolist())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dist.__file__).resolve().parents[1]))
     result = subprocess.run(

@@ -127,9 +127,9 @@ def _reference_means(model, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
 )
 def test_spawned_states_match_replicate_streams(seed):
     # seeds of 4 to 10 words reach the pool size and run past it, which
-    # moves where the spawn key's hash steps start; spawn keys of 2**32 and
-    # beyond are two words of entropy
-    indices = np.array([*range(2048), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1], dtype=np.uint64)
+    # moves where the spawn key's hash steps start; every index the engine
+    # reaches, and any below 2**32, is one word of entropy
+    indices = np.array([*range(2048), montecarlo._MAX_REPLICATES - 1, 2**32 - 1], dtype=np.uint64)
     words = montecarlo._spawn_states(seed, indices)
     assert words.shape == (indices.size, 4) and words.dtype == np.uint64
     for index, (state_lo, state_hi, inc_lo, inc_hi) in zip(indices.tolist(), words.tolist()):
@@ -165,7 +165,7 @@ def test_engine_matches_reference_loop(monkeypatch, model, load):
     monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 100)
     if load == "setter":
         # the path of builds whose PCG64 layout fails the check
-        monkeypatch.setattr(montecarlo, "_state_words", lambda bit_generator: None)
+        monkeypatch.setattr(montecarlo, "_layout_holds", lambda: False)
     for tile in (30, 200):
         monkeypatch.setattr(montecarlo, "_TILE_DRAWS", tile)
         for n in (13, 150):
@@ -191,7 +191,7 @@ def test_state_layout_check_passes_where_pcg128_is_native(fresh_layout_check):
     # a check that quietly failed here would only slow the engine down
     assert montecarlo._layout_holds()
     bit_generator = np.random.PCG64(0)
-    montecarlo._state_words(bit_generator)[:] = montecarlo._spawn_states(3, np.array([11]))[0]
+    montecarlo._struct_words(bit_generator)[:] = montecarlo._spawn_states(3, np.array([11]))[0]
     assert bit_generator.state == montecarlo._replicate_rng(3, 11).bit_generator.state
 
 
@@ -206,15 +206,17 @@ def test_layout_verdict_is_reached_once_per_process(monkeypatch, fresh_layout_ch
     # engine does
     replicate_rng = montecarlo._replicate_rng
     monkeypatch.setattr(montecarlo, "_replicate_rng", recording)
-    generators = [np.random.PCG64(0) for _ in range(3)]
-    views = [montecarlo._state_words(g) for g in generators]
-    assert len(checks) == 1
+    verdicts = {montecarlo._layout_holds() for _ in range(3)}
+    assert len(checks) == 1 and len(verdicts) == 1
     seed, index = checks[0]
-    assert seed.bit_length() > 32 and index >= 2**32
+    assert seed.bit_length() > 32 and index == montecarlo._MAX_REPLICATES - 1
     # each generator still gets a view of its own words
-    if views[-1] is not None:
+    if verdicts == {True}:
+        generators = [np.random.PCG64(0) for _ in range(3)]
+        views = [montecarlo._struct_words(g) for g in generators]
         views[-1][:] = montecarlo._spawn_states(3, np.array([11]))[0]
         assert generators[-1].state == replicate_rng(3, 11).bit_generator.state
+        assert generators[0].state == np.random.PCG64(0).state
     # the verdict holds for the next engine call too
     montecarlo._means_range(Geometric(0.5), 13, 0, 0, 40)
     assert len(checks) == 1
@@ -237,7 +239,6 @@ def test_a_layout_that_fails_the_check_loads_states_through_the_setter(monkeypat
         montecarlo, "_struct_words", lambda bit_generator: _SwappedHalves(struct_words(bit_generator))
     )
     assert not montecarlo._layout_holds()
-    assert montecarlo._state_words(np.random.PCG64(0)) is None
     model = Zeta(2.2)
     for n in (13, 150):
         engine = montecarlo._means_range(model, n, 7, 3, 43)
@@ -245,20 +246,27 @@ def test_a_layout_that_fails_the_check_loads_states_through_the_setter(monkeypat
 
 
 def test_engine_checks_the_layout_once_and_leaves_no_buffered_word(monkeypatch):
-    generators = []
+    verdicts, generators = [], []
 
-    def recording(bit_generator):
+    def recording_verdict():
+        verdicts.append(layout_holds())
+        return verdicts[-1]
+
+    def recording_view(bit_generator):
         generators.append(bit_generator)
-        return state_words(bit_generator)
+        return struct_words(bit_generator)
 
-    state_words = montecarlo._state_words
-    monkeypatch.setattr(montecarlo, "_state_words", recording)
+    layout_holds, struct_words = montecarlo._layout_holds, montecarlo._struct_words
+    layout_holds()  # the process's verdict, reached before the engine runs
+    monkeypatch.setattr(montecarlo, "_layout_holds", recording_verdict)
+    monkeypatch.setattr(montecarlo, "_struct_words", recording_view)
     # 100-draw blocks of 13-draw replicates: six seeding blocks in one call
     monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 100)
     montecarlo._means_range(Geometric(0.5), 13, 0, 0, 40)
-    assert len(generators) == 1
+    assert len(verdicts) == 1 and len(generators) == verdicts[0]
     # as after the setter, which loads has_uint32 = 0 with every state
-    assert generators[0].state["has_uint32"] == 0
+    if generators:
+        assert generators[0].state["has_uint32"] == 0
 
 
 @pytest.mark.parametrize(
@@ -472,7 +480,7 @@ def test_engine_rejects_seeds_that_seed_sequence_rejects(geom_half, seed):
 
 
 def test_engine_takes_numpy_integer_seeds(geom_half):
-    indices = np.array([0, 5, 2**32 + 1], dtype=np.uint64)
+    indices = np.array([0, 5, 2**32 - 1], dtype=np.uint64)
     for seed in (7, 2**63 + 5):
         expected = montecarlo._spawn_states(seed, indices)
         assert np.array_equal(montecarlo._spawn_states(np.uint64(seed), indices), expected)
@@ -571,7 +579,8 @@ def _estimate_mgf(model, entropy, lam, samples, seed):
     if not (isinstance(samples, int) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     u = np.random.default_rng(np.random.SeedSequence(seed)).random(samples)
-    values = np.exp(lam * (model._lookup(u).scores(u) + entropy.midpoint))
+    scores = model._lookup(u).scores(u, distributions._LookupBuffers(samples))
+    values = np.exp(lam * (scores + entropy.midpoint))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return float(np.mean(values)), stderr
 
